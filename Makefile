@@ -13,36 +13,31 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The full race pass needs an explicit timeout: the root package's suite
-# (goldens, determinism cross products, resumed and forked sweeps) runs
-# well past go test's default 10m per-package budget under the race
-# detector on small machines.
 race:
-	$(GO) test -race -timeout 30m ./...
+	$(GO) test -race ./...
 
-# ci is the gate: everything compiles, vets clean, passes under the race
-# detector (which includes the cross-shard determinism suite exercising
-# the lockstep worker pool), and the hot-path benchmarks stay within 50%
-# of the committed BENCH_cycles.json snapshot with no new allocations.
-# The loose margin absorbs machine-to-machine noise on a short benchtime;
-# `make bench` is the precise record. The telemetry layer, the live
-# observability service (health detectors + HTTP endpoints), and their
-# CLI glue are vetted and race-tested explicitly so a future build-tag or
-# test-cache quirk can't silently drop them from the sweep, and the serve
-# smoke test drives a real nocsim -serve binary end to end (ephemeral
-# port announced on stderr, /metrics parses, /healthz 200, clean exit).
-# The flight-recorder post-mortem smoke does the same for the black-box
-# path: a real nocsim wedges itself under the deliberate-deadlock fault
-# campaign with -flightrec on, the detector fire dumps the ring with no
-# operator involvement, and a real nocpost binary's verdict must recompute
-# the same root cause and attribution the live detectors recorded. The
-# SLO burn smoke drives the same path for the per-flow observatory: a
-# real nocsim saturates a hotspot under -flows/-slo, /healthz must burn
-# with the offending flow, dominant stall cause, and path links named,
-# the burn must leave a flight-recorder dump, and nocpost's verdict on
-# that dump must replay the transition; the reconciliation and
-# checkpoint suites hold the per-flow decomposition exact and
-# byte-stable across shard counts, epoch batching, and resume.
+# ci is the gate: every Go file is gofmt-clean, everything compiles,
+# vets clean, and passes under the race detector; the root suite also
+# runs at GOMAXPROCS 1 and 2 so behaviour that depends on the host's CPU
+# count is covered on any machine; and the hot-path benchmarks stay
+# within 50% of the committed BENCH_cycles.json snapshot with no new
+# allocations. The loose margin absorbs machine-to-machine noise on a
+# short benchtime; `make bench` is the precise record. The telemetry
+# layer, the live observability service (health detectors + HTTP
+# endpoints), and their CLI glue are vetted and race-tested explicitly so
+# a future build-tag or test-cache quirk can't silently drop them from the
+# sweep, and the serve smoke test drives a real nocsim -serve binary end
+# to end (ephemeral port announced on stderr, /metrics parses, /healthz
+# 200, clean exit). The flight-recorder post-mortem smoke does the same
+# for the black-box path: a real nocsim wedges itself under the
+# deliberate-deadlock fault campaign with -flightrec on, the detector fire
+# dumps the ring with no operator involvement, and a real nocpost
+# binary's verdict must recompute the same root cause and attribution the
+# live detectors recorded. The SLO burn smoke drives the same path for
+# the per-flow observatory: a real nocsim saturates a hotspot under
+# -flows/-slo, /healthz must burn with the offending flow, dominant stall
+# cause, and path links named, the burn must leave a flight-recorder
+# dump, and nocpost's verdict on that dump must replay the transition.
 # The benchjson gate covers the ServeOff/On pair so the serve-off loop
 # keeps its zero-allocation fast path (bytes/op gates too on Serve rows),
 # the FlightRecOff/On pair so a build without -flightrec keeps the
@@ -56,30 +51,30 @@ race:
 # each 4096 benchmark spends a few seconds building and warming the
 # 64x64 torus before timing starts. The checkpoint/restore stack is
 # gated twice: the resumed-golden suites replay the pinned experiments
-# through a mid-run snapshot + rebuild + restore at several shard counts
-# and must stay byte-identical to the straight-through goldens, and the
-# crash-resume smoke SIGKILLs a real nocsim mid-campaign, tears the
-# newest checkpoint file, and diffs the resumed run's report and metrics
-# CSV against an uninterrupted reference. The campaign engine is gated
-# the same two ways: the fork/replication determinism suite (forked
-# sweeps byte-match the straight-through goldens, replica 0 byte-matches
-# a plain run) runs under the race detector, and the campaign benchmarks
-# ride the benchjson gate — SweepPointReuse must hold its 0 allocs/op
-# (and 0 B/op) pooled re-init, NetworkBuild4096 records the cold-build
-# cost it replaces, and the SweepThroughput pair gates points/sec
-# downward so the warm-fork amortization can't silently rot.
+# through a mid-run snapshot + rebuild + restore and must stay
+# byte-identical to the straight-through goldens, and the crash-resume
+# smoke SIGKILLs a real nocsim mid-campaign, tears the newest checkpoint
+# file, and diffs the resumed run's report and metrics CSV against an
+# uninterrupted reference. The campaign engine is gated the same two
+# ways: the fork/replication determinism suite (forked sweeps byte-match
+# the straight-through goldens, replica 0 byte-matches a plain run), and
+# the campaign benchmarks ride the benchjson gate — SweepPointReuse must
+# hold its 0 allocs/op (and 0 B/op) pooled re-init, NetworkBuild4096
+# records the cold-build cost it replaces, and the SweepThroughput pair
+# gates points/sec downward so the warm-fork amortization can't silently
+# rot.
 ci:
+	@unformatted=$$(find . -name '*.go' -not -path './.bench_build/*' | xargs gofmt -l); \
+	  if [ -n "$$unformatted" ]; then echo "gofmt needed:" $$unformatted; exit 1; fi
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) vet ./internal/telemetry ./internal/telemetry/health ./internal/telemetry/serve ./internal/telemetry/latency ./cmd/internal/obs
 	$(GO) test -race ./internal/telemetry ./internal/telemetry/health ./internal/telemetry/serve ./internal/telemetry/latency ./cmd/internal/obs
-	$(GO) test -race ./internal/checkpoint ./internal/network ./internal/core
-	$(GO) test -race -timeout 30m ./...
+	$(GO) test -race ./...
+	$(GO) test -cpu 1,2 .
 	$(GO) test -race -run 'TestServeSmoke' .
-	$(GO) test -race -run 'TestSLOBurnSmoke|TestSLOFlagValidation|TestFlowLatencyReconciliation|TestFlowLatencyCheckpointRoundTrip' .
-	$(GO) test -race -run 'TestResumedGolden|TestCrashResume' .
+	$(GO) test -race -run 'TestSLOBurnSmoke|TestSLOFlagValidation' .
 	$(GO) test -race -run 'TestFlightRecSmoke|TestFlightRecReconstructionExact' .
-	$(GO) test -race -run 'TestForkedGoldenSweep|TestReplicatedRunDeterminism|TestReplicatedSweepMatchesRuns|TestArenaReuseDeterminism' .
 	{ $(GO) test -run '^$$' -bench 'NetworkCycle$$|NetworkCycleServeOff$$|NetworkCycleServeOn$$|NetworkCycleFlightRecOff$$|NetworkCycleFlightRecOn$$|NetworkCycleLatencyObsOff$$|NetworkCycleLatencyObsOn$$|NetworkCycle64$$|NetworkCycle4096$$|NetworkCycleIdle4096$$|RouteCompute' -benchtime 200ms -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'NetworkBuild4096$$|SweepPointReuse$$' -benchtime 20x -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'SweepThroughput' -benchtime 1x . ; } \
@@ -100,23 +95,18 @@ fuzz:
 # NetworkCycle pattern also matches NetworkCycleProbesOff/ProbesOn (the
 # telemetry-overhead pair), NetworkCycleServeOff/ServeOn (the live
 # observability snapshot-phase pair), NetworkCycleFlightRecOff/FlightRecOn
-# (the flight-recorder ring-phase pair), the 64x64-die pair
-# NetworkCycle4096/NetworkCycleIdle4096, and the NetworkCycle64Shards{2,4,8}
-# lockstep worker-pool runs plus their NoBatch twins (epoch batching
-# disabled, isolating the quiescence fast-forward win); the shard
-# benchmarks are recorded at GOMAXPROCS=1 (barrier overhead, no speedup
-# possible) and GOMAXPROCS=8 (the parallel case), keyed by the -procs
-# suffix benchjson parses into each row. The campaign-engine rows record
-# the amortized sweep machinery: NetworkBuild4096 (cold 4096-tile build),
-# SweepPointReuse (pooled in-place Reset, must stay 0 allocs/op), and the
-# SweepThroughput warm/cold pair whose points/sec ratio is the warm-fork
-# amortization factor. The final step re-runs the
-# 4096-tile benchmark under the CPU profiler so every refresh leaves a
-# bench_cycle4096.prof artifact (`go tool pprof bench_cycle4096.prof`)
-# beside the JSON for digging into cycle-loop regressions.
+# (the flight-recorder ring-phase pair), NetworkCycle64 (the 8x8 die),
+# and the 64x64-die pair NetworkCycle4096/NetworkCycleIdle4096. The
+# campaign-engine rows record the amortized sweep machinery:
+# NetworkBuild4096 (cold 4096-tile build), SweepPointReuse (pooled
+# in-place Reset, must stay 0 allocs/op), and the SweepThroughput
+# warm/cold pair whose points/sec ratio is the warm-fork amortization
+# factor. The final step re-runs the 4096-tile benchmark under the CPU
+# profiler so every refresh leaves a bench_cycle4096.prof artifact
+# (`go tool pprof bench_cycle4096.prof`) beside the JSON for digging into
+# cycle-loop regressions.
 bench:
 	{ GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'NetworkCycle|RouteCompute|ECCRoundTrip|PacketSegmentation' -benchtime 1s -benchmem . ; \
-	  GOMAXPROCS=8 $(GO) test -run '^$$' -bench 'NetworkCycle64' -benchtime 1s -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'NetworkBuild4096$$|SweepPointReuse$$' -benchtime 50x -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'SweepThroughput' -benchtime 1x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkE[0-9]' -benchtime 1x -benchmem . ; } | $(GO) run ./cmd/benchjson -o BENCH_cycles.json

@@ -322,44 +322,14 @@ func build4096(b testing.TB, idle bool) *network.Network {
 const cycle4096Rate = 0.01
 
 // BenchmarkNetworkCycle64 is the same loop on an 8x8 torus.
-func BenchmarkNetworkCycle64(b *testing.B) { benchCycle64(b, 1) }
-
-// BenchmarkNetworkCycle64Shards{2,4,8} run the identical 8x8 workload with
-// the cycle loop sharded across the lockstep worker pool. The results are
-// byte-identical to the sequential loop (see determinism_test.go); only
-// the wall clock may differ. Speedup requires real cores: run with
-// GOMAXPROCS >= the shard count (`make bench` records both GOMAXPROCS=1
-// and GOMAXPROCS=8 rows). With fewer cores than shards the barriers make
-// these strictly slower than the sequential loop — that cost is recorded,
-// not hidden.
-func BenchmarkNetworkCycle64Shards2(b *testing.B) { benchCycle64(b, 2) }
-func BenchmarkNetworkCycle64Shards4(b *testing.B) { benchCycle64(b, 4) }
-func BenchmarkNetworkCycle64Shards8(b *testing.B) { benchCycle64(b, 8) }
-
-// The NoBatch variants run the identical sharded workload with epoch
-// batching disabled (Config.BatchEpochs < 0), recording what the
-// quiescence fast-forward is worth on top of plain sharding. The default
-// rows above run with batching on (the default).
-func BenchmarkNetworkCycle64Shards2NoBatch(b *testing.B) { benchCycle64NoBatch(b, 2) }
-func BenchmarkNetworkCycle64Shards4NoBatch(b *testing.B) { benchCycle64NoBatch(b, 4) }
-func BenchmarkNetworkCycle64Shards8NoBatch(b *testing.B) { benchCycle64NoBatch(b, 8) }
-
-func benchCycle64(b *testing.B, shards int) { benchCycle64Batch(b, shards, 0) }
-
-func benchCycle64NoBatch(b *testing.B, shards int) { benchCycle64Batch(b, shards, -1) }
-
-func benchCycle64Batch(b *testing.B, shards, batch int) {
-	b.Helper()
+func BenchmarkNetworkCycle64(b *testing.B) {
 	topo, err := topology.NewFoldedTorus(8, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
-	n, err := network.New(network.Config{Topo: topo, Router: router.DefaultConfig(0), Seed: 1, Shards: shards, BatchEpochs: batch})
+	n, err := network.New(network.Config{Topo: topo, Router: router.DefaultConfig(0), Seed: 1})
 	if err != nil {
 		b.Fatal(err)
-	}
-	if n.Shards() != shards {
-		b.Fatalf("network runs %d shards, want %d", n.Shards(), shards)
 	}
 	for tile := 0; tile < topo.NumTiles(); tile++ {
 		n.AttachClient(tile, traffic.NewGenerator(tile, traffic.Uniform{Tiles: 64}, 0.3, 2, flit.VCMask(0xFF), 1))

@@ -21,8 +21,8 @@ import (
 // amortization factor the campaign engine was built for.
 
 // BenchmarkNetworkBuild4096 measures the full cold build of a 64x64
-// (4096-tile) folded torus: topology, routers, links, ports, shard
-// partition, phase schedule. This is the per-point cost the arena pool
+// (4096-tile) folded torus: topology, routers, links, ports, phase
+// schedule. This is the per-point cost the arena pool
 // deletes; BenchmarkSweepPointReuse is the replacement.
 func BenchmarkNetworkBuild4096(b *testing.B) {
 	b.ReportAllocs()

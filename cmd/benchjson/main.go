@@ -31,8 +31,8 @@ type Result struct {
 	Name       string `json:"name"`
 	Iterations int64  `json:"iterations"`
 	// Procs is the GOMAXPROCS the benchmark ran at (go test's -N name
-	// suffix; 1 when absent). The shard benchmarks run at several widths,
-	// so (name, procs) is the record key.
+	// suffix; 1 when absent). A benchmark recorded at two widths gives
+	// two rows, so (name, procs) is the record key.
 	Procs       int     `json:"procs,omitempty"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`

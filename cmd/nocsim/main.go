@@ -52,8 +52,6 @@ func main() {
 		faults   = flag.String("faults", "", "fault campaign spec, e.g. 'kill,link=9,at=500;stall,tile=6,port=W,at=800,until=1100'")
 		mtbf     = flag.Float64("mtbf", 0, "mean cycles between stochastic faults (0 disables)")
 		watchdog = flag.Int("watchdog", 64, "credit-starvation watchdog threshold, cycles (campaign runs)")
-		shards   = flag.Int("shards", 1, "intra-cycle shards: routers simulated in parallel, identical results (0 = GOMAXPROCS, 1 = sequential)")
-		batch    = flag.Int("batch-epochs", 0, "max cycles folded into one barrier epoch while near-quiescent, sharded runs only (0 = default 64, -1 disables); identical results")
 
 		ckptEvery = flag.Int64("checkpoint-every", 0, "write a crash-safe checkpoint every N cycles (0 disables; needs -checkpoint-dir)")
 		ckptDir   = flag.String("checkpoint-dir", "", "directory for checkpoint files (ckpt-*.noc + MANIFEST)")
@@ -111,9 +109,6 @@ func main() {
 	}
 	if *serdes < 1 {
 		fatal(fmt.Errorf("-serdes must be >= 1 link cycles per flit; got %d", *serdes))
-	}
-	if *shards < 0 {
-		fatal(fmt.Errorf("-shards must be >= 0 (0 = GOMAXPROCS); got %d", *shards))
 	}
 	if *warmup < 0 || *measure < 1 {
 		fatal(fmt.Errorf("need -warmup >= 0 and -measure >= 1; got %d, %d", *warmup, *measure))
@@ -173,16 +168,10 @@ func main() {
 	p.WarmupCycles = *warmup
 	p.MeasureCycles = *measure
 	p.Seed = *seed
-	// The power meter is a globally ordered accumulator, so a metered
-	// network always falls back to the sequential loop; a sharded run
-	// trades the energy lines for speed.
-	p.Metered = *shards == 1
-	if !p.Metered {
-		fmt.Fprintln(os.Stderr, "nocsim: note: -shards disables the power meter (energy lines omitted)")
-	}
+	p.Metered = true
 	// The power meter is a globally ordered accumulator outside the
-	// snapshot's coverage, so checkpointed runs trade the energy lines too.
-	if checkpointing && p.Metered {
+	// snapshot's coverage, so checkpointed runs trade the energy lines.
+	if checkpointing {
 		p.Metered = false
 		fmt.Fprintln(os.Stderr, "nocsim: note: checkpointing disables the power meter (energy lines omitted)")
 	}
@@ -195,11 +184,6 @@ func main() {
 	p.CheckpointEvery = *ckptEvery
 	p.CheckpointDir = *ckptDir
 	p.Resume = *resume
-	p.Shards = *shards
-	if *shards == 0 {
-		p.Shards = -1 // core: explicit GOMAXPROCS request
-	}
-	p.BatchEpochs = *batch
 	switch *mode {
 	case "vc":
 	case "drop":

@@ -32,8 +32,6 @@ func main() {
 		measure  = flag.Int64("measure", 4000, "measurement cycles")
 		seed     = flag.Int64("seed", 1, "random seed")
 		par      = flag.Int("parallel", 0, "concurrent sweep points (0 = GOMAXPROCS)")
-		shards   = flag.Int("shards", 1, "intra-cycle shards per simulation, identical results (0 = GOMAXPROCS, 1 = sequential); composes with -parallel")
-		batch    = flag.Int("batch-epochs", 0, "max cycles folded into one barrier epoch while near-quiescent, sharded runs only (0 = default 64, -1 disables); identical results")
 		replicas = flag.Int("replicas", 1, "measurement replicas per point, warm-forked from one shared warmup (replica seeds derive from -seed; 1 = single measurement)")
 
 		ckptEvery = flag.Int64("checkpoint-every", 0, "checkpoint every sweep point every N cycles (0 disables; needs -checkpoint-dir)")
@@ -47,11 +45,6 @@ func main() {
 		os.Exit(1)
 	}
 	core.SetParallelism(*par)
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "nocsweep: -shards must be >= 0 (0 = GOMAXPROCS); got %d\n", *shards)
-		os.Exit(1)
-	}
-	core.SetShards(*shards)
 	if *ckptEvery < 0 {
 		fmt.Fprintf(os.Stderr, "nocsweep: -checkpoint-every must be >= 0 cycles; got %d\n", *ckptEvery)
 		os.Exit(1)
@@ -103,7 +96,6 @@ func main() {
 	base.WarmupCycles = *warmup
 	base.MeasureCycles = *measure
 	base.Seed = *seed
-	base.BatchEpochs = *batch
 	base.CheckpointEvery = *ckptEvery
 	base.CheckpointDir = *ckptDir
 	base.Resume = *resume

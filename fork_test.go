@@ -12,8 +12,7 @@ import (
 // in-memory campaign engine: a run forked mid-flight — snapshotted to a
 // byte buffer, its network Reset in place, fresh clients attached, and
 // the snapshot restored with Network.Fork — must reproduce the
-// committed straight-through goldens byte for byte, at any shard count
-// and epoch-batching setting. This is a strictly stronger claim than
+// committed straight-through goldens byte for byte. This is a strictly stronger claim than
 // resume (which restores into a *newly built* network): the fork path
 // additionally proves that arena Reset returns a used network to a
 // state indistinguishable from freshly constructed.
@@ -27,34 +26,32 @@ func forkAt(t *testing.T, frac float64, fn func()) {
 	fn()
 }
 
-// TestForkedGoldenSweep forks the golden load-latency sweep mid-point
-// across the shards {1, 2, N} × batching {off, default} grid, with the
-// fork fraction rotating through 25/50/75% so every fraction, shard
-// count, and batching setting is exercised. Every cell must reproduce
-// the committed sequential golden bytes.
+// TestForkedGoldenSweep forks the golden load-latency sweep mid-point at
+// 25, 50, and 75% of each run. Every fork must reproduce the committed
+// golden bytes. The case names keep the one-shard prefixes of the
+// suite's former shard × batching grid; every case runs the sequential
+// cycle loop.
 func TestForkedGoldenSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forked golden sweeps are not -short")
 	}
 	want := readGolden(t, "golden_sweep_seed1.csv")
-	fracs := []float64{0.25, 0.50, 0.75}
-	shardList := append([]int{1}, shardCounts()...)
-	for si, shards := range shardList {
-		for bi, batch := range []int{-1, 0} { // off, network default
-			frac := fracs[(si*2+bi)%len(fracs)]
-			name := fmt.Sprintf("shards%d/batch%d/frac%.0f", shards, batch, 100*frac)
-			t.Run(name, func(t *testing.T) {
-				forkAt(t, frac, func() {
-					withShards(t, shards, func() {
-						withBatching(t, batch, func() {
-							if got := goldenSweepCSV(t, 1); got != want {
-								t.Errorf("forked sweep diverged from straight-through golden\n--- want ---\n%s--- got ---\n%s", want, got)
-							}
-						})
-					})
-				})
+	for _, tc := range []struct {
+		prefix string
+		frac   float64
+	}{
+		{"shards1/batch-1", 0.25},
+		{"shards1/batch0", 0.50},
+		{"shards1/batch-1", 0.75},
+	} {
+		frac := tc.frac
+		t.Run(fmt.Sprintf("%s/frac%.0f", tc.prefix, 100*frac), func(t *testing.T) {
+			forkAt(t, frac, func() {
+				if got := goldenSweepCSV(t, 1); got != want {
+					t.Errorf("forked sweep diverged from straight-through golden\n--- want ---\n%s--- got ---\n%s", want, got)
+				}
 			})
-		}
+		})
 	}
 }
 
@@ -90,7 +87,7 @@ func replicateParams() core.RunParams {
 // replica 0 reproduces an uninterrupted Run byte for byte (same
 // generators, same streams, network restored from its own warmup
 // snapshot), and the whole replica vector is identical across repeated
-// invocations and across shard counts.
+// invocations.
 func TestReplicatedRunDeterminism(t *testing.T) {
 	p := replicateParams()
 	straight, err := core.Run(p)
@@ -113,20 +110,6 @@ func TestReplicatedRunDeterminism(t *testing.T) {
 	}
 	if got, want := forkResultRows(again), forkResultRows(rs); got != want {
 		t.Errorf("repeated RunReplicated diverged\n--- want ---\n%s--- got ---\n%s", want, got)
-	}
-	for _, shards := range shardCounts() {
-		shards := shards
-		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			withShards(t, shards, func() {
-				sharded, err := core.RunReplicated(p, 3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got, want := forkResultRows(sharded), forkResultRows(rs); got != want {
-					t.Errorf("sharded replication diverged from sequential\n--- want ---\n%s--- got ---\n%s", want, got)
-				}
-			})
-		})
 	}
 }
 
@@ -183,5 +166,53 @@ func TestArenaReuseDeterminism(t *testing.T) {
 			t.Errorf("reuse %d: pooled run diverged from fresh build\n want %s\n got  %s",
 				i+1, forkResultRow(first), forkResultRow(got))
 		}
+	}
+}
+
+// TestShardedSoak is the random-traffic soak of the deprecated Shards
+// knob: on an 8×8 network, across seeds and patterns, the two values the
+// knob still accepts (1 and the default 0) must give the same full
+// RunResult. Both runs share an arena key, so the second executes on the
+// first one's network after an in-place Reset.
+func TestShardedSoak(t *testing.T) {
+	if testing.Short() {
+		t.Skip("soak is not -short")
+	}
+	base := core.DefaultRunParams()
+	base.K = 8
+	base.FlitsPerPacket = 2
+	base.WarmupCycles = 300
+	base.MeasureCycles = 900
+	fingerprint := func(p core.RunParams) string {
+		res, err := core.Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Params.Shards = 0 // the only field allowed to differ
+		return fmt.Sprintf("%+v", res)
+	}
+	for _, tc := range []struct {
+		pattern string
+		rate    float64
+		seed    int64
+	}{
+		{"uniform", 0.35, 1},
+		{"uniform", 0.35, 7},
+		{"transpose", 0.25, 1},
+		{"tornado", 0.15, 2},
+	} {
+		t.Run(fmt.Sprintf("%s-r%v-s%d", tc.pattern, tc.rate, tc.seed), func(t *testing.T) {
+			core.DrainArena()
+			p := base
+			p.Pattern = tc.pattern
+			p.Rate = tc.rate
+			p.Seed = tc.seed
+			p.Shards = 1
+			want := fingerprint(p)
+			p.Shards = 0
+			if got := fingerprint(p); got != want {
+				t.Errorf("Shards=0 diverged from Shards=1:\n--- Shards=1 ---\n%s\n--- Shards=0 ---\n%s", want, got)
+			}
+		})
 	}
 }

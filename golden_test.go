@@ -73,6 +73,16 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
+// readGolden loads a committed golden file.
+func readGolden(t *testing.T, name string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatalf("missing golden file: %v", err)
+	}
+	return string(b)
+}
+
 // TestGoldenSweep pins the full load-latency sweep (the core.Sweep path the
 // parallel runner fans out) for three seeds.
 func TestGoldenSweep(t *testing.T) {

@@ -37,8 +37,10 @@ import (
 // Version is the current container format version. Readers reject files
 // with a different version outright; state layouts inside sections are
 // versioned with the container. Version 2 added the per-flit hop count
-// (flow observatory) to the flit wire layout.
-const Version = 2
+// (flow observatory) to the flit wire layout. Version 3 saves only the
+// unsent flits of a port's in-progress injection; the sent ones are
+// saved once, by the router or link holding them.
+const Version = 3
 
 // magic identifies a checkpoint file. The trailing byte doubles as a
 // format epoch so even the magic check catches a layout change.

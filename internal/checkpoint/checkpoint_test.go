@@ -2,8 +2,11 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -124,6 +127,19 @@ func TestCorruptionDetected(t *testing.T) {
 		if _, err := Parse(data[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes went undetected", n)
 		}
+	}
+}
+
+// TestRejectsOldVersion requires an otherwise intact image written under
+// an earlier format version to be refused: its section layouts differ.
+func TestRejectsOldVersion(t *testing.T) {
+	data := buildSample(t)
+	body := data[:len(data)-4]
+	binary.LittleEndian.PutUint32(body[len(magic):], Version-1)
+	data = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+	_, err := Parse(data)
+	if err == nil || !strings.Contains(err.Error(), "unsupported version") {
+		t.Fatalf("Parse of a version-%d image: err = %v, want unsupported version", Version-1, err)
 	}
 }
 

@@ -34,34 +34,23 @@ var arena struct {
 }
 
 // arenaKey fingerprints every parameter that shapes a network's
-// allocation: topology, radix, router geometry, link models, and the
-// resolved shard/batching layout (kernel.Reset preserves the shard
-// structure, so differently sharded networks must not share a pool).
-// Seed, warmup, rate, and checkpoint policy are per-run state that
+// allocation: topology, radix, router geometry, and link models. Seed,
+// warmup, rate, and checkpoint policy are per-run state that
 // network.Reset re-establishes.
 func arenaKey(p RunParams) string {
-	sh := p.Shards
-	if sh == 0 {
-		sh = Shards()
-	}
-	if sh < 0 {
-		sh = 0
-	}
-	be := p.BatchEpochs
-	if be == 0 {
-		be = BatchEpochs()
-	}
-	return fmt.Sprintf("%s|k=%d|vc=%d|buf=%d|mode=%d|ct=%v|ns=%v|serdes=%d|elastic=%v|adaptive=%v|wd=%d|ecc=%v|sh=%d|be=%d",
+	return fmt.Sprintf("%s|k=%d|vc=%d|buf=%d|mode=%d|ct=%v|ns=%v|serdes=%d|elastic=%v|adaptive=%v|wd=%d|ecc=%v",
 		p.Topology, p.K, p.NumVCs, p.BufFlits, p.Mode, p.CutThrough, p.NonSpeculative,
-		p.SerdesCycles, p.ElasticLinks, p.Adaptive, p.Watchdog, p.ECC, sh, be)
+		p.SerdesCycles, p.ElasticLinks, p.Adaptive, p.Watchdog, p.ECC)
 }
 
 // arenaEligible reports whether a run's network may come from (and
 // return to) the arena. The exclusions mirror network.Resettable plus
 // the attachments whose lifetime is the run itself (probes, OnNetwork
-// observability hooks).
+// observability hooks). A deprecated Shards value other than 0 or 1 takes
+// the fresh-build path, where network.New rejects it.
 func arenaEligible(p RunParams) bool {
-	return !p.Deflect && !p.PhysWires && !p.Metered && p.Probe == nil && p.OnNetwork == nil
+	return !p.Deflect && !p.PhysWires && !p.Metered && p.Probe == nil && p.OnNetwork == nil &&
+		(p.Shards == 0 || p.Shards == 1)
 }
 
 // acquireNetwork returns a client-less network for p — re-initialized in

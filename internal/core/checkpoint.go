@@ -27,17 +27,16 @@ import (
 const keepCheckpoints = 3
 
 // configHash fingerprints the semantically relevant parameters of a run.
-// Shard count, epoch batching, observability attachments, and the
-// checkpoint flags themselves are excluded: results are byte-identical
-// across those, so a snapshot may be resumed under a different shard
-// count or without the original -serve. kind separates client arrangements (plain run vs
-// campaign) that share a RunParams; extra folds in campaign-only state.
+// Observability attachments, the checkpoint flags themselves, and the
+// deprecated Shards field are excluded: results are byte-identical
+// across those, so a snapshot may be resumed without the original
+// -serve. kind separates client arrangements (plain run vs campaign)
+// that share a RunParams; extra folds in campaign-only state.
 func configHash(kind string, p RunParams, extra string) uint64 {
 	c := p
 	c.Probe = nil
 	c.OnNetwork = nil
 	c.Shards = 0
-	c.BatchEpochs = 0
 	c.CheckpointEvery, c.CheckpointDir, c.Resume = 0, "", false
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%+v|probe=%v|%s", kind, c, p.Probe != nil, extra)
@@ -45,8 +44,7 @@ func configHash(kind string, p RunParams, extra string) uint64 {
 }
 
 // checkpointer is the end-of-cycle snapshot phase. It runs as the last
-// serial phase of the kernel schedule, behind every merge barrier, where
-// the simulation state is identical for any shard count.
+// phase of the kernel schedule, after every network phase of the cycle.
 type checkpointer struct {
 	n      *network.Network
 	dir    string

@@ -237,3 +237,32 @@ func TestRunElasticMode(t *testing.T) {
 		t.Fatalf("elastic 1-flit-buffer mesh accepted only %v", res.AcceptedFlits)
 	}
 }
+
+// TestDeprecatedShardsValidated pins the deprecated shard shims: 0 and 1
+// run the sequential loop, any other value is refused — by Run (pooled or
+// not) and BuildNetwork with an error, by SetShards with a panic.
+func TestDeprecatedShardsValidated(t *testing.T) {
+	p := DefaultRunParams()
+	p.WarmupCycles, p.MeasureCycles = 50, 100
+	p.Shards = 1
+	if _, err := Run(p); err != nil {
+		t.Fatalf("Shards=1: %v", err)
+	}
+	for _, shards := range []int{-1, 2} {
+		p.Shards = shards
+		if _, err := Run(p); err == nil {
+			t.Errorf("Run with Shards=%d succeeded; want an error", shards)
+		}
+		if _, _, err := BuildNetwork(p); err == nil {
+			t.Errorf("BuildNetwork with Shards=%d succeeded; want an error", shards)
+		}
+	}
+	SetShards(0)
+	SetShards(1)
+	defer func() {
+		if recover() == nil {
+			t.Error("SetShards(2) did not panic")
+		}
+	}()
+	SetShards(2)
+}

@@ -21,12 +21,12 @@ import (
 )
 
 // SimSpec is the serializable self-description of a run: every parameter
-// that shapes simulation state, and nothing that doesn't (shard count,
-// batching, checkpoint cadence, and observability attachments are all
-// byte-identical knobs, so a replay may pick its own). The probe fields
-// are included because an attached probe is itself checkpointed state — a
-// keyframe restores into a rebuilt network only when the probe layout
-// (series on/off, tracer on/off) matches.
+// that shapes simulation state, and nothing that doesn't (checkpoint
+// cadence and observability attachments are byte-identical knobs, so a
+// replay may pick its own). The probe fields are included because an
+// attached probe is itself checkpointed state — a keyframe restores into
+// a rebuilt network only when the probe layout (series on/off, tracer
+// on/off) matches.
 type SimSpec struct {
 	Kind string `json:"kind"` // "run", "campaign", or "trace"
 
@@ -132,7 +132,6 @@ func (s SimSpec) Params() RunParams {
 		Watchdog:       s.Watchdog,
 		PhysWires:      s.PhysWires,
 		ECC:            s.ECC,
-		Shards:         1, // replay is sequential; results are shard-invariant
 	}
 	if s.ProbeSampleEvery > 0 || s.ProbeTrace {
 		p.Probe = telemetry.New(telemetry.Config{

@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 
 	"repro/internal/artifact"
@@ -25,7 +26,7 @@ import (
 )
 
 // parallelism is the worker-pool width used by Sweep and the multi-point
-// experiments; 0 selects sim.DefaultParallelism() (GOMAXPROCS).
+// experiments; 0 selects GOMAXPROCS.
 var parallelism int64
 
 // SetParallelism sets the number of simulations run concurrently by Sweep
@@ -39,43 +40,23 @@ func SetParallelism(n int) {
 	atomic.StoreInt64(&parallelism, int64(n))
 }
 
-// Parallelism reports the current worker-pool width (0 = GOMAXPROCS).
-func Parallelism() int { return int(atomic.LoadInt64(&parallelism)) }
-
-// shards is the default intra-cycle shard count for networks built by this
-// package: 1 (sequential) unless overridden by SetShards or per-run via
-// RunParams.Shards. Unlike parallelism (across independent sweep points),
-// sharding parallelizes the phases *within* one simulation, with
-// byte-identical results (see internal/network/shard.go).
-var shards int64 = 1
-
-// SetShards sets the default intra-cycle shard count for subsequently
-// built networks. 0 selects GOMAXPROCS, 1 restores the sequential loop;
-// n < 0 is clamped to 1.
-func SetShards(n int) {
-	if n < 0 {
-		n = 1
+// Parallelism reports the current worker-pool width: the SetParallelism
+// value, or GOMAXPROCS when none is set.
+func Parallelism() int {
+	if n := int(atomic.LoadInt64(&parallelism)); n > 0 {
+		return n
 	}
-	atomic.StoreInt64(&shards, int64(n))
+	return runtime.GOMAXPROCS(0)
 }
 
-// Shards reports the default intra-cycle shard count (0 = GOMAXPROCS).
-func Shards() int { return int(atomic.LoadInt64(&shards)) }
-
-// batchEpochs is the default epoch-batching cap for networks built by
-// this package: 0 defers to the network default
-// (network.DefaultBatchEpochs), negative disables batching.
-var batchEpochs int64
-
-// SetBatchEpochs sets the default epoch-batching cap for subsequently
-// built networks (see network.Config.BatchEpochs). 0 restores the
-// network default; n < 0 disables batching. Batching only engages on
-// sharded runs and never changes results.
-func SetBatchEpochs(n int) { atomic.StoreInt64(&batchEpochs, int64(n)) }
-
-// BatchEpochs reports the default epoch-batching cap (0 = network
-// default, negative = off).
-func BatchEpochs() int { return int(atomic.LoadInt64(&batchEpochs)) }
+// SetShards accepts 0 or 1 and panics on any other value.
+//
+// Deprecated: the cycle loop is sequential; there is nothing to set.
+func SetShards(n int) {
+	if n != 0 && n != 1 {
+		panic(fmt.Sprintf("core: SetShards(%d): the cycle loop is sequential (use 0 or 1)", n))
+	}
+}
 
 // simulatedCycles accumulates the kernel cycles executed by Run and
 // RunCampaign across all goroutines, so the CLIs can report simulated
@@ -130,18 +111,11 @@ type RunParams struct {
 	// concurrent runs (Sweep); instrument a dedicated run instead.
 	Probe *telemetry.Probe
 
-	// Shards is the intra-cycle shard count for this run's network
-	// (network.Config.Shards): 0 defers to the package default
-	// (SetShards), negative means GOMAXPROCS explicitly. Results are
-	// byte-identical at any shard count.
+	// Shards must be 0 or 1; BuildNetwork rejects any other value.
+	//
+	// Deprecated: the cycle loop is sequential. The field remains only
+	// for callers that still set it and will be removed.
 	Shards int
-
-	// BatchEpochs caps how many cycles a sharded run folds into one
-	// barrier epoch while the network is near-quiescent
-	// (network.Config.BatchEpochs): 0 defers to the package default
-	// (SetBatchEpochs), negative disables batching. Results are
-	// byte-identical at any setting.
-	BatchEpochs int
 
 	// OnNetwork, when non-nil, runs after the network is built and the
 	// clients attached, before the first cycle — the attachment point for
@@ -155,7 +129,7 @@ type RunParams struct {
 	// state every CheckpointEvery cycles; Resume restarts the run from
 	// the newest valid snapshot in CheckpointDir (from scratch when the
 	// directory holds none). A resumed run reproduces the uninterrupted
-	// run's outputs byte for byte, at any shard count. None of the three
+	// run's outputs byte for byte. None of the three
 	// fields affects simulation results.
 	CheckpointEvery int64
 	CheckpointDir   string
@@ -297,24 +271,12 @@ func BuildNetwork(p RunParams) (*network.Network, *power.Meter, error) {
 	if p.Metered {
 		meter = power.NewMeter(PaperPowerModel())
 	}
-	sh := p.Shards
-	if sh == 0 {
-		sh = Shards()
-	}
-	if sh < 0 {
-		sh = 0 // explicit GOMAXPROCS request -> network auto
-	}
-	be := p.BatchEpochs
-	if be == 0 {
-		be = BatchEpochs()
-	}
 	cfg := network.Config{
 		Topo:         topo,
 		Adjacency:    adj,
 		RouteTable:   sharedRouteTable(p.Topology, p.K, topo),
 		Router:       rc,
-		Shards:       sh,
-		BatchEpochs:  be,
+		Shards:       p.Shards,
 		SerdesCycles: p.SerdesCycles,
 		Deflect:      p.Deflect,
 		ElasticLinks: p.ElasticLinks,

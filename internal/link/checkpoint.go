@@ -65,7 +65,6 @@ func restorePipeInts(d *checkpoint.Decoder, p *Pipe[int]) {
 	}
 }
 
-
 // SaveState serialises the link's dynamic state: both pipes, the serdes
 // busy countdown, the pending-credit queue, elastic stages, utilization,
 // and fault status. Configuration (latency, serdes width, physical layer)

@@ -16,12 +16,11 @@ import (
 // snapshot, and RestoreCheckpoint rebuilds that state into a freshly
 // constructed network with the same configuration.
 //
-// A checkpoint is taken between cycles (the core layer registers a serial
-// end-of-cycle phase), where every per-shard deferral buffer is empty and
-// the per-component state is byte-identical for any shard count. Shard
-// partitioning, flit free-lists, worklists, and the route cache are all
-// derived or semantically invisible state, so they are never serialised:
-// restore recomputes occupancy and worklists, and caches refill cold.
+// A checkpoint is taken between cycles (the core layer registers an
+// end-of-cycle phase). Flit free-lists, worklists, and the route cache
+// are all derived or semantically invisible state, so they are never
+// serialised: restore recomputes occupancy and worklists, and caches
+// refill cold.
 
 // StatefulClient is a Client whose dynamic state rides along in network
 // checkpoints. SaveCheckpoint refuses networks with attached clients that
@@ -101,8 +100,8 @@ func (n *Network) SaveCheckpoint(configHash uint64, cycle int64) ([]byte, error)
 	}
 	// Gated links freeze their utilization windows while off the
 	// worklists; catch every counter up so the serialised Util state is
-	// byte-identical to an ungated (or differently sharded) run's. The
-	// probe mirror keeps the serialised route-table counters current.
+	// byte-identical to an ungated run's. The probe mirror keeps the
+	// serialised route-table counters current.
 	n.finalizeUtil()
 	n.observeProbe()
 	b := checkpoint.NewBuilder(configHash, cycle)
@@ -259,7 +258,7 @@ func (n *Network) RestoreCheckpoint(f *checkpoint.File) error {
 			return
 		}
 		for _, le := range n.links {
-			le.l.RestoreState(d, &n.shards[n.shardOf[le.to]].pool)
+			le.l.RestoreState(d, &n.pool)
 			if d.Err() != nil {
 				return
 			}
@@ -331,7 +330,7 @@ func (n *Network) RestoreCheckpoint(f *checkpoint.File) error {
 	// Restore replays the stream forward from the seed to the recorded
 	// position, which subsumes them.
 	n.kernel.RestoreClock(f.Cycle, draws)
-	// Rebuild the derived per-shard worklists from restored occupancy.
+	// Rebuild the derived worklists from restored occupancy.
 	for _, r := range n.routers {
 		if r.Occupancy() > 0 {
 			n.activate(r.ID())
@@ -344,7 +343,7 @@ func (n *Network) RestoreCheckpoint(f *checkpoint.File) error {
 		for i := range n.links {
 			n.links[i].tickedTo = f.Cycle
 			if !n.links[i].l.Idle() {
-				n.activateLink(int32(i), f.Cycle)
+				n.activateLink(int32(i))
 			}
 		}
 	}
@@ -354,9 +353,12 @@ func (n *Network) RestoreCheckpoint(f *checkpoint.File) error {
 
 // --- port state -------------------------------------------------------------
 
+// saveInjection serialises a queued or in-progress injection. Only the
+// unsent flits [next, len) belong to the port; the sent ones are held by
+// the routers and links they reached, which save them.
 func (p *Port) saveInjection(e *checkpoint.Encoder, in *injection) {
-	flit.SaveFlits(e, in.flits)
 	e.Int(in.next)
+	flit.SaveFlits(e, in.flits[in.next:])
 	e.Int(in.vc)
 	e.Int(in.class)
 	e.U64(in.seq)
@@ -365,19 +367,26 @@ func (p *Port) saveInjection(e *checkpoint.Encoder, in *injection) {
 
 func (p *Port) restoreInjection(d *checkpoint.Decoder) *injection {
 	in := p.getInjection()
-	in.flits = flit.RestoreFlits(d, in.flits[:0], p.pool)
-	in.next = d.Int()
+	next := d.Int()
+	in.flits = flit.RestoreFlits(d, in.flits[:0], p.pool) // the unsent flits
 	in.vc = d.Int()
 	in.class = d.Int()
 	in.seq = d.U64()
 	in.inject = d.I64()
-	if in.next < 0 || in.next > len(in.flits) {
-		d.Fail("injection cursor %d out of range [0, %d]", in.next, len(in.flits))
+	if d.Err() == nil && (len(in.flits) == 0 || next < 0 || in.flits[0].Seq != next) {
+		d.Fail("injection cursor %d does not match its first unsent flit", next)
 	}
 	if d.Err() != nil {
 		p.putInjection(in)
 		return nil
 	}
+	// Put the unsent flits back at [next, len) behind a nil sent prefix,
+	// the shape a live port holds (injectFlit).
+	unsent := len(in.flits)
+	in.flits = append(in.flits, make([]*flit.Flit, next)...)
+	copy(in.flits[next:], in.flits[:unsent])
+	clear(in.flits[:next])
+	in.next = next
 	return in
 }
 

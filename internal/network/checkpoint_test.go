@@ -1,7 +1,6 @@
 package network
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -21,6 +20,7 @@ type ckptClient struct {
 	draw    uint64
 	sent    int64
 	stopped bool
+	payload int // bytes per packet; 0 sends 2-byte single-flit packets
 }
 
 func newCkptClient(tile int, seed int64) *ckptClient {
@@ -38,7 +38,11 @@ func (c *ckptClient) Tick(now int64, p *Port) {
 	if c.rng.Float64() < 0.08 {
 		dst := (c.tile + 1 + int(c.draw)%15) % 16
 		if dst != c.tile {
-			if _, err := p.Send(dst, []byte{byte(now), byte(c.tile)}, flit.VCMask(0xFF), 0); err == nil {
+			payload := []byte{byte(now), byte(c.tile)}
+			if c.payload > 0 {
+				payload = make([]byte, c.payload)
+			}
+			if _, err := p.Send(dst, payload, flit.VCMask(0xFF), 0); err == nil {
 				c.sent++
 			}
 		}
@@ -59,7 +63,7 @@ func (c *ckptClient) RestoreState(d *checkpoint.Decoder) {
 	}
 }
 
-func buildCkptNet(t *testing.T, shards, watchdog int) *Network {
+func buildCkptNet(t *testing.T, watchdog int) *Network {
 	t.Helper()
 	topo, err := topology.NewFoldedTorus(4, 4)
 	if err != nil {
@@ -67,8 +71,7 @@ func buildCkptNet(t *testing.T, shards, watchdog int) *Network {
 	}
 	rc := router.DefaultConfig(0)
 	n, err := New(Config{
-		Topo: topo, Router: rc, Seed: 42, Warmup: 50,
-		Shards: shards, Watchdog: watchdog,
+		Topo: topo, Router: rc, Seed: 42, Warmup: 50, Watchdog: watchdog,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,110 +84,54 @@ func buildCkptNet(t *testing.T, shards, watchdog int) *Network {
 
 // TestCheckpointRoundTrip saves mid-run, restores into a fresh network,
 // and requires the resumed run's state — as witnessed by a second
-// checkpoint — to be byte-identical to the uninterrupted run's.
+// checkpoint — to be byte-identical to the uninterrupted run's. Its one
+// case is the sequential cycle loop, shards=1.
 func TestCheckpointRoundTrip(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			ref := buildCkptNet(t, shards, 0)
-			ref.Run(300)
-			snap, err := ref.SaveCheckpoint(99, 300)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref.Run(300)
-			want, err := ref.SaveCheckpoint(99, 600)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			f, err := checkpoint.Parse(snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if f.Cycle != 300 || f.ConfigHash != 99 {
-				t.Fatalf("header = (cycle %d, hash %d), want (300, 99)", f.Cycle, f.ConfigHash)
-			}
-			res := buildCkptNet(t, shards, 0)
-			if err := res.RestoreCheckpoint(f); err != nil {
-				t.Fatal(err)
-			}
-			if got := res.Kernel().Now(); got != 300 {
-				t.Fatalf("restored clock = %d, want 300", got)
-			}
-			res.Run(300)
-			got, err := res.SaveCheckpoint(99, 600)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(got) != string(want) {
-				t.Fatalf("resumed state diverges from the uninterrupted run (snapshot %d vs %d bytes)", len(got), len(want))
-			}
-			if s := res.Recorder().String(); s != ref.Recorder().String() {
-				t.Fatalf("recorder diverged:\nresumed  %s\nstraight %s", s, ref.Recorder().String())
-			}
-		})
-	}
-}
-
-// TestCheckpointShardInvariant requires the snapshot bytes to be
-// identical for any shard count.
-func TestCheckpointShardInvariant(t *testing.T) {
-	var want []byte
-	for _, shards := range []int{1, 2, 4} {
-		n := buildCkptNet(t, shards, 0)
-		n.Run(250)
-		snap, err := n.SaveCheckpoint(1, 250)
+	t.Run("shards=1", func(t *testing.T) {
+		ref := buildCkptNet(t, 0)
+		ref.Run(300)
+		snap, err := ref.SaveCheckpoint(99, 300)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want == nil {
-			want = snap
-			continue
+		ref.Run(300)
+		want, err := ref.SaveCheckpoint(99, 600)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if string(snap) != string(want) {
-			t.Fatalf("shards=%d snapshot differs from shards=1 (%d vs %d bytes)", shards, len(snap), len(want))
-		}
-	}
-}
 
-// TestCheckpointCrossShardRestore saves under one shard count and resumes
-// under others: the continued runs must all converge on identical state.
-func TestCheckpointCrossShardRestore(t *testing.T) {
-	src := buildCkptNet(t, 1, 0)
-	src.Run(300)
-	snap, err := src.SaveCheckpoint(5, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src.Run(200)
-	want, err := src.SaveCheckpoint(5, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 4} {
 		f, err := checkpoint.Parse(snap)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := buildCkptNet(t, shards, 0)
+		if f.Cycle != 300 || f.ConfigHash != 99 {
+			t.Fatalf("header = (cycle %d, hash %d), want (300, 99)", f.Cycle, f.ConfigHash)
+		}
+		res := buildCkptNet(t, 0)
 		if err := res.RestoreCheckpoint(f); err != nil {
 			t.Fatal(err)
 		}
-		res.Run(200)
-		got, err := res.SaveCheckpoint(5, 500)
+		if got := res.Kernel().Now(); got != 300 {
+			t.Fatalf("restored clock = %d, want 300", got)
+		}
+		res.Run(300)
+		got, err := res.SaveCheckpoint(99, 600)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if string(got) != string(want) {
-			t.Fatalf("resume at shards=%d diverges from straight-through shards=1", shards)
+			t.Fatalf("resumed state diverges from the uninterrupted run (snapshot %d vs %d bytes)", len(got), len(want))
 		}
-	}
+		if s := res.Recorder().String(); s != ref.Recorder().String() {
+			t.Fatalf("recorder diverged:\nresumed  %s\nstraight %s", s, ref.Recorder().String())
+		}
+	})
 }
 
 // TestCheckpointRejectsMismatchedNetwork requires structural mismatches to
 // surface as errors, not corruption.
 func TestCheckpointRejectsMismatchedNetwork(t *testing.T) {
-	n := buildCkptNet(t, 1, 0)
+	n := buildCkptNet(t, 0)
 	n.Run(100)
 	snap, err := n.SaveCheckpoint(1, 100)
 	if err != nil {
@@ -195,7 +142,7 @@ func TestCheckpointRejectsMismatchedNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A watchdog-armed network has extra state the snapshot lacks.
-	other := buildCkptNet(t, 1, 64)
+	other := buildCkptNet(t, 64)
 	if err := other.RestoreCheckpoint(f); err == nil {
 		t.Fatal("restore into a watchdog-armed network succeeded; want presence-mismatch error")
 	}
@@ -204,7 +151,7 @@ func TestCheckpointRejectsMismatchedNetwork(t *testing.T) {
 // TestCheckpointRefusesStatelessClient requires Save to reject clients it
 // cannot serialise rather than silently dropping their state.
 func TestCheckpointRefusesStatelessClient(t *testing.T) {
-	n := buildCkptNet(t, 1, 0)
+	n := buildCkptNet(t, 0)
 	n.AttachClient(3, ClientFunc(func(now int64, p *Port) { p.Deliveries() }))
 	if _, err := n.SaveCheckpoint(1, 0); err == nil {
 		t.Fatal("SaveCheckpoint accepted a non-checkpointable client")
@@ -214,7 +161,7 @@ func TestCheckpointRefusesStatelessClient(t *testing.T) {
 // TestCheckpointOutstandingFlits checks the pool accounting balances
 // after a restore: every live flit was drawn through a pool Get.
 func TestCheckpointOutstandingFlits(t *testing.T) {
-	n := buildCkptNet(t, 2, 0)
+	n := buildCkptNet(t, 0)
 	n.Run(300)
 	snap, err := n.SaveCheckpoint(1, 300)
 	if err != nil {
@@ -224,7 +171,7 @@ func TestCheckpointOutstandingFlits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := buildCkptNet(t, 2, 0)
+	res := buildCkptNet(t, 0)
 	if err := res.RestoreCheckpoint(f); err != nil {
 		t.Fatal(err)
 	}
@@ -237,6 +184,65 @@ func TestCheckpointOutstandingFlits(t *testing.T) {
 	}
 	if out := res.FlitsOutstanding(); out != 0 {
 		t.Fatalf("FlitsOutstanding = %d after drain, want 0", out)
+	}
+}
+
+// TestForkMidInjectionDrains forks a network while multi-flit injections
+// are part-way into the network and drains the fork: the flits already
+// sent live in routers and links, so the fork must not also re-create
+// them for the port, or its pool never balances.
+func TestForkMidInjectionDrains(t *testing.T) {
+	build := func() *Network {
+		n := buildCkptNet(t, 0)
+		for tile := 0; tile < 16; tile++ {
+			n.clients[tile].(*ckptClient).payload = 4 * flit.DataBytes
+		}
+		return n
+	}
+	src := build()
+	src.Run(300)
+	midway := 0
+	for _, p := range src.ports {
+		for _, in := range p.active {
+			if in != nil && in.next > 0 {
+				midway++
+			}
+		}
+	}
+	if midway == 0 {
+		t.Fatal("no injection in progress at the fork point; the test is vacuous")
+	}
+	img, err := src.Snapshot(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fork := build()
+	if err := fork.Fork(img, 3); err != nil {
+		t.Fatal(err)
+	}
+	again, err := fork.Snapshot(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != string(img) {
+		t.Fatal("snapshot of the fresh fork differs from the image it was forked from")
+	}
+	for _, n := range []*Network{src, fork} {
+		for tile := 0; tile < 16; tile++ {
+			n.clients[tile].(*ckptClient).StopSending()
+		}
+		if !n.Drain(20000) {
+			t.Fatal("network failed to drain")
+		}
+	}
+	if out := fork.FlitsOutstanding(); out != 0 {
+		t.Fatalf("fork: FlitsOutstanding = %d after drain, want 0", out)
+	}
+	if out := src.FlitsOutstanding(); out != 0 {
+		t.Fatalf("original: FlitsOutstanding = %d after drain, want 0", out)
+	}
+	if fork.Recorder().String() != src.Recorder().String() {
+		t.Fatalf("fork diverged:\nfork     %s\noriginal %s", fork.Recorder().String(), src.Recorder().String())
 	}
 }
 

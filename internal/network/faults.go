@@ -61,7 +61,7 @@ func (n *Network) declareDead(i int, now int64) {
 	n.routers[le.from].KillOutput(le.dir)
 	n.routers[le.to].AbandonInput(le.dir.Opposite(), now)
 	// AbandonInput synthesizes abort tails into the receiver's input
-	// buffers; put it on its shard's worklist so they route and eject.
+	// buffers; put it on the worklist so they route and eject.
 	n.activate(le.to)
 	n.reroutePending()
 	if n.probe != nil {

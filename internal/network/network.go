@@ -87,34 +87,12 @@ type Config struct {
 	// call's result for Topo; construction trusts it.
 	Adjacency []topology.Link
 
-	// Shards is the intra-cycle parallelism: tiles and links are
-	// partitioned into this many contiguous shards and each kernel phase
-	// runs concurrently across them, with byte-identical results to the
-	// sequential loop (see shard.go). 0 selects GOMAXPROCS; 1 (the
-	// default) is the classic sequential loop. Configurations with
-	// globally ordered side effects — PhysWires, a Meter, a TraceWriter,
-	// or telemetry lifecycle tracing — force 1.
+	// Shards must be 0 or 1; New rejects any other value.
+	//
+	// Deprecated: the cycle loop is sequential. The field remains only
+	// for callers that still set it and will be removed.
 	Shards int
-
-	// BatchEpochs bounds quiescence-aware epoch batching on sharded runs
-	// (Shards > 1): when the network-wide active work drops below a
-	// threshold, up to this many cycles are folded into one barrier epoch
-	// and run inline on worker 0, eliminating up to 2×phases barrier
-	// crossings per folded cycle. Results are byte-identical either way
-	// (sim.Kernel.SetBatching). 0 selects DefaultBatchEpochs; negative
-	// disables batching; ignored on the sequential path and on
-	// configurations that force full scans (deflection, watchdogs,
-	// tracing, physical wires, power meters).
-	BatchEpochs int
 }
-
-// DefaultBatchEpochs is the epoch cap used when Config.BatchEpochs is 0.
-// It bounds how long worker 0 runs the quiescent network serially before
-// the eligibility probe is consulted against fresh worklists at a real
-// barrier — long enough to amortize the barrier away on idle stretches,
-// short enough that a traffic burst returns to lockstep execution within
-// a rounding error of wall-clock time.
-const DefaultBatchEpochs = 64
 
 // routeCacheMaxTiles bounds the route cache: above this tile count the
 // tiles² cache rows would cost more memory than recomputation is worth.
@@ -122,7 +100,7 @@ const routeCacheMaxTiles = 1024
 
 // linkEntry couples a link to its position in the topology. tickedTo is
 // the utilization-window high-water mark for the link-gating fast path
-// (shard.go): while a link is off its shard's worklist its Util counter
+// (cycle.go): while a link is off the worklist its Util counter
 // stops ticking, and tickedTo records the utilTicks value its window was
 // frozen at so activation or a Util read can catch it up exactly.
 type linkEntry struct {
@@ -148,17 +126,32 @@ type Network struct {
 	recorder *Recorder
 	nextID   uint64
 
-	// shards partitions the tiles and links for intra-cycle parallelism
-	// (shard.go); one entry (the whole network) on the sequential path.
-	// Each shard owns the flit pool its components recycle through.
-	// shardOf maps tile -> owning shard; onList backs the per-shard
-	// active-router worklists.
-	shards  []*shardState
-	shardOf []int
-	onList  []bool
+	// pool recycles the flits created and destroyed by every router,
+	// link, and port.
+	pool flit.Pool
 
-	// Quiescence gating (shard.go). linkGated enables the per-shard link
-	// worklists (linkOn dedupes membership; outLinkIdx / inLinkIdx map
+	// active is the router worklist: tiles whose router holds at least
+	// one flit. Routers join on flit acceptance and leave at the route
+	// phase's sweep, so quiescent regions cost nothing in the three
+	// router phases. onList dedupes membership.
+	active []int
+	onList []bool
+
+	// activeLinks is the link worklist (indexes into links), maintained
+	// only when linkGated: links join when their sender puts a flit on
+	// the wires or their receiver hands them a credit, and leave at the
+	// delivery sweep once Idle.
+	activeLinks []int32
+
+	// pumpList is the port worklist for the pump phase (ports with queued
+	// or in-progress injections); loopList is the matching worklist for
+	// pending loopback deliveries. Both are maintained through
+	// Port.notePump/noteLoopback and used only when portGated.
+	pumpList []int32
+	loopList []int32
+
+	// Quiescence gating (cycle.go). linkGated enables the link worklist
+	// (linkOn dedupes membership; outLinkIdx / inLinkIdx map
 	// tile×port to the link a send or credit wakes; utilTicks counts
 	// completed delivery phases, the reference clock for frozen Util
 	// windows). portGated enables the pump/loopback port worklists and
@@ -175,13 +168,9 @@ type Network struct {
 	utilTicks  int64
 
 	// clientTiles lists tiles with attached clients, ascending, so the
-	// serial client phase walks attached clients in tile order without
-	// scanning every tile.
+	// client phase walks attached clients in tile order without scanning
+	// every tile.
 	clientTiles []int
-
-	// batchThresh is the active-work ceiling under which sharded runs may
-	// fold cycles into batched epochs (batchEligible).
-	batchThresh int
 
 	// tracing caches cfg.TraceWriter != nil so hot paths skip the variadic
 	// trace call (whose argument boxing allocates) when tracing is off.
@@ -225,8 +214,8 @@ type Network struct {
 	ckptEvery     int64
 
 	// pktObs, when non-nil, receives every delivered non-loopback packet
-	// at the eject barrier, in tile (= sequential-schedule) order. It is a
-	// per-run attachment like the checkpoint extras; Reset detaches it.
+	// in the eject phase, in delivery order. It is a per-run attachment
+	// like the checkpoint extras; Reset detaches it.
 	// obsScratch is the reused observation record so the hook stays
 	// allocation-free.
 	pktObs     PacketObserver
@@ -250,8 +239,8 @@ type PacketObservation struct {
 	Arrived     int64 // cycle the tail was ejected
 }
 
-// PacketObserver receives delivered packets behind the eject barrier, on
-// the serial merge goroutine, in deterministic order for any shard count.
+// PacketObserver receives delivered packets during the eject phase, in
+// the deterministic order the phase walks the ports.
 type PacketObserver interface {
 	PacketDelivered(ob *PacketObservation)
 }
@@ -260,6 +249,20 @@ type PacketObserver interface {
 // observer. The observation record passed to the observer is reused
 // across calls; observers must copy what they keep.
 func (n *Network) SetPacketObserver(o PacketObserver) { n.pktObs = o }
+
+// packetDelivered records a reassembled packet, whose tail flit is tail,
+// with the recorder and the attached observer.
+func (n *Network) packetDelivered(tail *flit.Flit, flits int, now int64) {
+	n.recorder.packetDone(tail, flits, now)
+	if n.pktObs != nil {
+		n.obsScratch = PacketObservation{
+			ID: tail.PacketID, Src: tail.Src, Dst: tail.Dst,
+			Class: tail.Class, Flow: tail.Flow, Hops: tail.Hops, Flits: flits,
+			Birth: tail.Birth, Inject: tail.Inject, Arrived: now,
+		}
+		n.pktObs.PacketDelivered(&n.obsScratch)
+	}
+}
 
 // New builds the network described by cfg.
 func New(cfg Config) (*Network, error) {
@@ -292,6 +295,9 @@ func New(cfg Config) (*Network, error) {
 			return nil, fmt.Errorf("network: adaptive routing applies to the VC router only")
 		}
 		cfg.Router.Adaptive = true
+	}
+	if cfg.Shards != 0 && cfg.Shards != 1 {
+		return nil, fmt.Errorf("network: Shards %d is not supported: the cycle loop is sequential (use 0 or 1)", cfg.Shards)
 	}
 	if cfg.Watchdog < 0 {
 		return nil, fmt.Errorf("network: negative watchdog threshold %d", cfg.Watchdog)
@@ -378,7 +384,7 @@ func New(cfg Config) (*Network, error) {
 			}
 		}
 	}
-	n.initShards(effectiveShards(cfg, tiles))
+	n.onList = make([]bool, tiles)
 	// Quiescence gating: worklist-driven delivery, eject, and pump scans.
 	// See the field comments for why each configuration falls back to the
 	// full scan.
@@ -399,17 +405,12 @@ func New(cfg Config) (*Network, error) {
 			n.inLinkIdx[le.to*router.NumPorts+int(le.dir.Opposite())] = int32(i)
 		}
 	}
-	n.batchThresh = tiles / 64
-	if n.batchThresh < 8 {
-		n.batchThresh = 8
-	}
 	for _, r := range n.routers {
-		r.SetPool(&n.shards[n.shardOf[r.ID()]].pool)
+		r.SetPool(&n.pool)
 	}
 	for _, le := range n.links {
-		// A link recycles flits during Deliver (drop on a dead link), so it
-		// draws from the pool of the shard that owns it: the receiver's.
-		le.l.SetPool(&n.shards[n.shardOf[le.to]].pool)
+		// A link recycles flits during Deliver (drop on a dead link).
+		le.l.SetPool(&n.pool)
 	}
 	if n.probe != nil {
 		// Every tile gets a probe (the port-level counters apply in all
@@ -426,8 +427,7 @@ func New(cfg Config) (*Network, error) {
 		}
 	}
 	for tile := 0; tile < tiles; tile++ {
-		sh := n.shards[n.shardOf[tile]]
-		p := &Port{tile: tile, net: n, shard: sh, pool: &sh.pool}
+		p := &Port{tile: tile, net: n, pool: &n.pool}
 		if n.probe != nil {
 			p.probe = n.probe.Routers[tile]
 		}
@@ -509,49 +509,24 @@ func (n *Network) preferredDir(tile, dst int) route.Dir {
 
 // registerPhases wires the cycle schedule described in DESIGN.md —
 // deliver, route, link arbitration, switch arbitration, then the client
-// half-cycle split into eject / clients / pump. Every phase except the
-// serial client Tick is registered sharded (shard.go); with one shard the
-// kernel runs the shard bodies inline, which *is* the classic sequential
-// loop, so both modes execute the same code and cannot diverge.
+// half-cycle split into eject / clients / pump (cycle.go).
 func (n *Network) registerPhases() {
 	k := n.kernel
-	k.SetShards(len(n.shards))
-	k.AddShardedPhase("deliver", n.deliverShard, n.deliverMerge)
-	// The router phases walk the per-shard active worklists: a router
-	// holding no flits has nothing buffered, staged, or bypassed, so route
+	k.AddPhase("deliver", n.deliver)
+	// The router phases walk the active worklist: a router holding no
+	// flits has nothing buffered, staged, or bypassed, so route
 	// computation and both arbitrations are state no-ops (the round-robin
 	// arbiters only advance on a grant) and quiescent regions cost nothing.
-	k.AddShardedPhase("route", n.routeShard, nil)
-	// Under link gating linkarb needs a merge to apply cross-shard link
-	// activations (a send whose receiving tile lives in another shard);
-	// without gating the merge (and its extra barrier) is omitted.
-	var lam sim.PhaseFunc
-	if n.linkGated {
-		lam = n.linkarbMerge
-	}
-	k.AddShardedPhase("linkarb", n.linkarbShard, lam)
-	k.AddShardedPhase("switcharb", n.switcharbShard, nil)
-	k.AddShardedPhase("eject", n.ejectShard, n.ejectMerge)
+	k.AddPhase("route", n.routePhase)
+	k.AddPhase("linkarb", n.linkarb)
+	k.AddPhase("switcharb", n.switcharb)
+	k.AddPhase("eject", n.eject)
 	k.AddPhase("clients", n.clientsTick)
-	k.AddShardedPhase("pump", n.pumpShard, n.pumpMerge)
+	k.AddPhase("pump", n.pumpPhase)
 	if n.cfg.Watchdog > 0 {
 		n.wdStarve = make([]int64, len(n.links))
 		n.wdCredit = make([]bool, len(n.links))
 		n.kernel.AddPhase("watchdog", n.watchdogTick)
-	}
-	// Quiescence-aware epoch batching: on sharded runs, fold cycles into
-	// single-barrier epochs while the worklists show too little active
-	// work to be worth fanning out. The kernel's Step path executes the
-	// same phase schedule inline, so results — including serial-phase
-	// timing (telemetry samples, serve snapshots, checkpoints) — are
-	// byte-identical; only the barrier count changes. Requires the gated
-	// worklists: they are the quiescence signal.
-	if len(n.shards) > 1 && n.linkGated && n.portGated && n.cfg.BatchEpochs >= 0 {
-		epochs := n.cfg.BatchEpochs
-		if epochs == 0 {
-			epochs = DefaultBatchEpochs
-		}
-		k.SetBatching(epochs, n.batchEligible)
 	}
 	// The sampling phase exists only when a probe asked for a series, so a
 	// probe-less (or counters-only) network's cycle loop is untouched.
@@ -579,24 +554,13 @@ func (n *Network) registerPhases() {
 	k.MarkPhases()
 }
 
-// batchEligible is the quiescence probe for epoch batching: it approves
-// folding cycles onto one worker while the total active work (routers
-// plus links on the per-shard worklists) is below the threshold where
-// fan-out overhead dominates the work itself. Consulted by worker 0 at
-// cycle boundaries, where the worklists are quiescent state.
-func (n *Network) batchEligible() bool {
-	total := 0
-	for _, s := range n.shards {
-		total += len(s.active) + len(s.activeLinks)
-		if total > n.batchThresh {
-			return false
-		}
-	}
-	return true
-}
+// Shards reports 1: the cycle loop is sequential.
+//
+// Deprecated: kept only for callers of the removed sharded engine.
+func (n *Network) Shards() int { return 1 }
 
 // AttachClient installs (or, with a nil client, removes) the client logic
-// for a tile, keeping the dense ascending client list the serial client
+// for a tile, keeping the dense ascending client list the client
 // phase walks.
 func (n *Network) AttachClient(tile int, c Client) {
 	had := n.clients[tile] != nil
@@ -626,13 +590,6 @@ func (n *Network) Router(tile int) *router.Router {
 
 // Kernel exposes the simulation kernel.
 func (n *Network) Kernel() *sim.Kernel { return n.kernel }
-
-// FlitPool exposes shard 0's flit free-list for leak accounting: on the
-// sequential path (Shards()==1, the default) it is the network's only
-// pool, and after a Drain its Outstanding() must equal zero. Sharded
-// networks recycle flits through one pool per shard — use
-// FlitsOutstanding for the aggregate there.
-func (n *Network) FlitPool() *flit.Pool { return &n.shards[0].pool }
 
 // Recorder exposes the measurement recorder.
 func (n *Network) Recorder() *Recorder { return n.recorder }
@@ -668,17 +625,15 @@ func (n *Network) observeProbe() {
 
 // Occupancy reports flits buffered anywhere in the network (routers and
 // links). Under gating this is O(active components): every router holding
-// a flit is on its shard's worklist (acceptance activates, the route
+// a flit is on the worklist (acceptance activates, the route
 // sweep only drops empty routers), and every link with a flit in flight
 // is on its link worklist (sends activate, the delivery sweep only drops
 // idle links).
 func (n *Network) Occupancy() int {
 	total := 0
 	if n.linkGated {
-		for _, s := range n.shards {
-			for _, t := range s.active {
-				total += n.routers[t].Occupancy()
-			}
+		for _, t := range n.active {
+			total += n.routers[t].Occupancy()
 		}
 		return total + n.LinksInFlight()
 	}
@@ -696,10 +651,8 @@ func (n *Network) Occupancy() int {
 func (n *Network) LinksInFlight() int {
 	total := 0
 	if n.linkGated {
-		for _, s := range n.shards {
-			for _, li := range s.activeLinks {
-				total += n.links[li].l.InFlight()
-			}
+		for _, li := range n.activeLinks {
+			total += n.links[li].l.InFlight()
 		}
 		return total
 	}
@@ -719,13 +672,11 @@ func (n *Network) Drain(budget int64) bool {
 		}
 		if n.portGated {
 			// Every port with pending or in-progress injections is on
-			// its shard's pump worklist (Send/SendReserved enlist it and
-			// only the pump sweep delists drained ports).
-			for _, s := range n.shards {
-				for _, t := range s.pumpList {
-					if n.ports[t].PendingInjections() != 0 {
-						return false
-					}
+			// the pump worklist (Send/SendReserved enlist it and only
+			// the pump sweep delists drained ports).
+			for _, t := range n.pumpList {
+				if n.ports[t].PendingInjections() != 0 {
+					return false
 				}
 			}
 			return true

@@ -63,12 +63,7 @@ type partialSlot struct {
 type Port struct {
 	tile int
 	net  *Network
-
-	// shard is the tile's owning shard; recorder-bound counts and pool
-	// traffic go through it so the eject and pump phases stay shard-local
-	// (shard.go). pool aliases shard.pool.
-	shard *shardState
-	pool  *flit.Pool
+	pool *flit.Pool // the network's flit pool
 
 	canInject func(vc int) bool
 	accept    func(f *flit.Flit)
@@ -82,8 +77,8 @@ type Port struct {
 	active   [flit.NumVCs]*injection // in-progress packet per VC; nil = idle
 
 	// activeCount tracks non-nil active entries, and onPump / onLoop mark
-	// membership on the shard's pump and loopback worklists, so the gated
-	// pump and eject phases visit only ports with work (shard.go).
+	// membership on the network's pump and loopback worklists, so the
+	// gated pump and eject phases visit only ports with work (cycle.go).
 	activeCount int
 	onPump      bool
 	onLoop      bool
@@ -116,28 +111,28 @@ type Port struct {
 func (p *Port) Tile() int { return p.tile }
 
 // injWork reports packets queued or in progress at the injection side —
-// the condition for staying on the shard's pump worklist.
+// the condition for staying on the pump worklist.
 func (p *Port) injWork() int {
 	return len(p.pending) + len(p.reserved) + p.activeCount
 }
 
-// notePump enlists the port on its shard's pump worklist. Called with
-// work just queued, from the serial client phase or between cycles.
+// notePump enlists the port on the pump worklist. Called with work just
+// queued, from the client phase or between cycles.
 func (p *Port) notePump() {
 	if p.onPump {
 		return
 	}
 	p.onPump = true
-	p.shard.pumpList = append(p.shard.pumpList, int32(p.tile))
+	p.net.pumpList = append(p.net.pumpList, int32(p.tile))
 }
 
-// noteLoopback enlists the port on its shard's loopback worklist.
+// noteLoopback enlists the port on the loopback worklist.
 func (p *Port) noteLoopback() {
 	if p.onLoop {
 		return
 	}
 	p.onLoop = true
-	p.shard.loopList = append(p.shard.loopList, int32(p.tile))
+	p.net.loopList = append(p.net.loopList, int32(p.tile))
 }
 
 func (p *Port) getDelivery() *Delivery {
@@ -182,7 +177,7 @@ func (p *Port) putInjection(in *injection) {
 // packets, and reassembly partials — recycle into the pool (flits already
 // injected live in routers and links, which recycle their own); delivery
 // objects drain back into the free list, loopbacks are dropped, and
-// worklist membership clears. The tile, network, shard, probe, and
+// worklist membership clears. The tile, network, pool, probe, and
 // injection callbacks are configuration and are kept.
 func (p *Port) reset() {
 	drop := func(in *injection) {
@@ -411,7 +406,7 @@ func (p *Port) receive(flits []*flit.Flit, now int64) {
 			if s := p.findPartial(f.PacketID); s != nil {
 				p.releasePartial(s)
 			}
-			p.shard.aborted++
+			p.net.aborted++
 			if p.probe != nil {
 				p.probe.AbortedPackets++
 				p.probe.Trace(telemetry.EvAbort, now, f.PacketID, int32(p.tile), 0)
@@ -444,14 +439,7 @@ func (p *Port) receive(flits []*flit.Flit, now int64) {
 			p.probe.DeliveredPackets++
 			p.probe.Trace(telemetry.EvEject, now, f.PacketID, int32(p.tile), int32(len(parts)))
 		}
-		// Deferred recorder update: the flit is recycled below, so capture
-		// the fields packetDone needs; ejectMerge applies them in tile
-		// order behind the phase barrier.
-		p.shard.dones = append(p.shard.dones, doneRec{
-			id: f.PacketID, birth: f.Birth, inject: f.Inject,
-			src: f.Src, dst: f.Dst, hops: f.Hops,
-			class: f.Class, flow: f.Flow, flits: len(parts),
-		})
+		p.net.packetDelivered(f, len(parts), now)
 		if p.net.tracing {
 			p.net.trace("cycle=%d pkt=%d event=delivered src=%d dst=%d latency=%d netlatency=%d",
 				now, f.PacketID, f.Src, f.Dst, now-f.Birth, now-f.Inject)
@@ -502,8 +490,8 @@ func (p *Port) deliverLoopbacks(now int64) {
 		if p.loopAt[i] <= now {
 			d.Arrived = now
 			p.rx = append(p.rx, d)
-			p.shard.delivered++
-			p.shard.deliveredFlits += int64(d.Flits)
+			p.net.recorder.DeliveredPackets++
+			p.net.recorder.DeliveredFlits += int64(d.Flits)
 		} else {
 			keep = append(keep, d)
 			keepAt = append(keepAt, p.loopAt[i])
@@ -638,7 +626,7 @@ func (p *Port) injectFlit(in *injection, now int64) {
 	f := in.flits[in.next]
 	if in.next == 0 {
 		in.inject = now
-		p.shard.injected++
+		p.net.recorder.InjectedPackets++
 		if p.probe != nil {
 			p.probe.Trace(telemetry.EvInject, now, f.PacketID, int32(f.Src), int32(f.Dst))
 		}
@@ -651,6 +639,9 @@ func (p *Port) injectFlit(in *injection, now int64) {
 		p.probe.InjectedFlits++
 	}
 	f.Inject = in.inject
+	// The flit now belongs to the router; the port keeps only the unsent
+	// suffix (saveInjection relies on it).
+	in.flits[in.next] = nil
 	in.next++
 	p.accept(f)
 }

@@ -84,13 +84,7 @@ func (r *Recorder) Reset(warmup int64) {
 // packetDone records a fully delivered packet whose tail arrived at cycle
 // now. tail is the tail flit (carrying birth/inject stamps and class/flow).
 func (r *Recorder) packetDone(tail *flit.Flit, flits int, now int64) {
-	r.packetDoneRec(tail.Birth, tail.Inject, tail.Class, tail.Flow, flits, now)
-}
-
-// packetDoneRec is packetDone on the tail-flit fields alone, so sharded
-// eject phases can defer the recorder update past the flit's recycling
-// (shard.go) and apply it behind the phase barrier.
-func (r *Recorder) packetDoneRec(birth, inject int64, class, flow, flits int, now int64) {
+	birth, inject, class, flow := tail.Birth, tail.Inject, tail.Class, tail.Flow
 	r.DeliveredPackets++
 	r.DeliveredFlits += int64(flits)
 	if now >= r.WarmupCycles && (r.MeasureUntil == 0 || now <= r.MeasureUntil) {

@@ -4,8 +4,7 @@ import "fmt"
 
 // This file implements network arena pooling: Reset re-initializes a
 // built network in place so a sweep campaign constructs its routers,
-// links, ports, shard partitions, and phase schedule once and reuses them
-// for every point. The invariant is Reset ≡ New: after Reset(seed,
+// links, ports, and phase schedule once and reuses them for every point. The invariant is Reset ≡ New: after Reset(seed,
 // warmup) the network is state-for-state what New would have produced
 // with those parameters (plus warm allocation caches — flit free lists,
 // worklist capacity — which are semantically invisible). The golden tests
@@ -44,7 +43,7 @@ func (n *Network) Resettable() error {
 // allocating nothing in steady state. Clients are detached (the next run
 // attaches its own); phases appended after construction — checkpoint
 // hooks, collectors, injectors — are truncated from the schedule; the
-// configuration, wiring, shard partition, and route table/cache survive.
+// configuration, wiring, and route table/cache survive.
 func (n *Network) Reset(seed, warmup int64) error {
 	if err := n.Resettable(); err != nil {
 		return err
@@ -92,16 +91,10 @@ func (n *Network) Reset(seed, warmup int64) error {
 		n.linkOn[i] = false
 	}
 	n.utilTicks = 0
-	for _, s := range n.shards {
-		s.active = s.active[:0]
-		s.activeLinks = s.activeLinks[:0]
-		s.pendingLinks = s.pendingLinks[:0]
-		s.pumpList = s.pumpList[:0]
-		s.loopList = s.loopList[:0]
-		s.credits = s.credits[:0]
-		s.dones = s.dones[:0]
-		s.delivered, s.deliveredFlits, s.injected, s.aborted = 0, 0, 0, 0
-	}
+	n.active = n.active[:0]
+	n.activeLinks = n.activeLinks[:0]
+	n.pumpList = n.pumpList[:0]
+	n.loopList = n.loopList[:0]
 	n.extras = n.extras[:0]
 	n.pktObs = nil
 	n.lastCkptCycle = -1

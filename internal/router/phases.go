@@ -502,16 +502,6 @@ func (r *Router) HandleCredits(d route.Dir, vcs []int) {
 	}
 }
 
-// HandleCredit restores a single downstream credit; the slice-free variant
-// of HandleCredits for deferred cross-shard credit returns.
-func (r *Router) HandleCredit(d route.Dir, vc int) {
-	oc := &r.outputs[portIndex(d)]
-	if vc < 0 || vc >= r.cfg.NumVCs {
-		panic(fmt.Sprintf("router %d: credit for invalid VC %d", r.cfg.ID, vc))
-	}
-	oc.addCredit(vc)
-}
-
 // Eject returns the flits delivered to the tile this cycle. The returned
 // slice is only valid until the next cycle: the router reuses its backing
 // array. Callers must consume (or copy) the flits before then.

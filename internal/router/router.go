@@ -240,18 +240,18 @@ type outputController struct {
 	// credits is inline (not a heap slice) so the per-flit credit
 	// take/return touches the same cache lines as the masks beside it;
 	// only the first cfg.NumVCs entries are live.
-	credits  [flit.NumVCs]int32
-	link     *link.Link // nil for the local port
+	credits [flit.NumVCs]int32
+	link    *link.Link // nil for the local port
 	// entryFree caches link.EntryAlwaysFree(): when true, link arbitration
 	// skips the CanSend pointer chase (link → pipe → slots) because the
 	// delivery phase provably left the input register empty this cycle.
 	entryFree bool
-	staging  [NumPorts]*flit.Flit
-	bypass   []*flit.Flit // reserved flits awaiting their slot
-	vcOwner  []uint64     // packetID+1 holding each downstream VC; 0 = free
-	arb      rrArbiter
-	table    *ResTable
-	dateline bool // this link crosses a torus ring's dateline
+	staging   [NumPorts]*flit.Flit
+	bypass    []*flit.Flit // reserved flits awaiting their slot
+	vcOwner   []uint64     // packetID+1 holding each downstream VC; 0 = free
+	arb       rrArbiter
+	table     *ResTable
+	dateline  bool // this link crosses a torus ring's dateline
 }
 
 // addCredit restores one downstream credit on VC v.

@@ -1,14 +1,9 @@
 package sim
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
-
-// DefaultParallelism is the worker count used when a caller passes a
-// non-positive value to ForEach: the process's GOMAXPROCS.
-func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
 
 // ForEach runs fn(0..n-1) across a bounded pool of workers and waits for
 // all of them. Each index is one independent job — in this repository, one
@@ -18,15 +13,16 @@ func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
 // once, no locking is needed on the result side and output order is
 // decided by the caller, not by scheduling.
 //
-// workers <= 0 selects DefaultParallelism(). If any fn returns an error,
+// workers <= 0 runs the jobs sequentially, like workers == 1; the caller
+// picks the width (core.Parallelism). If any fn returns an error,
 // ForEach returns the error of the lowest failing index (deterministic
 // regardless of scheduling); all indices are still visited.
 func ForEach(n, workers int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	if workers <= 0 {
-		workers = DefaultParallelism()
+	if workers < 1 {
+		workers = 1
 	}
 	if workers > n {
 		workers = n

@@ -25,12 +25,6 @@ type PhaseFunc func(now Cycle)
 type phase struct {
 	name string
 	fn   PhaseFunc
-
-	// shard and merge describe a sharded phase (AddShardedPhase, see
-	// shard.go): shard runs once per shard per cycle, merge (optional)
-	// applies deferred cross-shard effects behind the phase barrier.
-	shard ShardFunc
-	merge PhaseFunc
 }
 
 // Kernel drives a phased, cycle-accurate simulation.
@@ -40,15 +34,6 @@ type Kernel struct {
 	rng    *rand.Rand
 	src    *CountedSource
 	seed   int64
-
-	// shards is the intra-cycle parallelism for sharded phases; <= 1 is
-	// the sequential path (see shard.go).
-	shards int
-
-	// batchMax/batchOK configure quiescence-aware epoch batching for the
-	// parallel runner (SetBatching, see shard.go).
-	batchMax int
-	batchOK  func() bool
 
 	// crashHook, when set, observes a panic unwinding Run/RunUntil before
 	// it propagates (SetCrashHook).
@@ -112,9 +97,7 @@ func (k *Kernel) MarkPhases() { k.phaseMark = len(k.phases) }
 // Reset rewinds the kernel for a fresh run on the same schedule: the
 // clock returns to cycle 0, the random source is reseeded (draw count
 // zero), phases appended after MarkPhases are dropped, and any crash
-// hook is detached. Sharding and batching configuration are kept — they
-// were set while the baseline schedule was registered. Must be called
-// between cycles.
+// hook is detached. Must be called between cycles.
 func (k *Kernel) Reset(seed int64) {
 	if k.phaseMark > 0 && len(k.phases) > k.phaseMark {
 		for i := k.phaseMark; i < len(k.phases); i++ {
@@ -128,23 +111,10 @@ func (k *Kernel) Reset(seed int64) {
 	k.crashHook = nil
 }
 
-// Step executes one full cycle: every phase once, in order. Sharded
-// phases run their shard bodies inline in shard order — which, by the
-// determinism contract of AddShardedPhase, produces the same state as a
-// parallel cycle — so Step never spawns goroutines.
+// Step executes one full cycle: every phase once, in order.
 func (k *Kernel) Step() {
 	for i := range k.phases {
-		p := &k.phases[i]
-		if p.shard != nil {
-			for s := 0; s < k.Shards(); s++ {
-				p.shard(k.now, s)
-			}
-			if p.merge != nil {
-				p.merge(k.now)
-			}
-			continue
-		}
-		p.fn(k.now)
+		k.phases[i].fn(k.now)
 	}
 	k.now++
 }
@@ -154,9 +124,7 @@ func (k *Kernel) Step() {
 // on the way down. The hook runs on the panicking goroutine with the
 // simulation mid-cycle — it must treat the state as read-only wreckage.
 // The original panic is always re-raised, and a panic inside the hook
-// itself is swallowed so it cannot mask the cause. A panic on a pool
-// worker goroutine (shards > 1) crashes the process before the runner
-// returns and is not observable here.
+// itself is swallowed so it cannot mask the cause.
 func (k *Kernel) SetCrashHook(fn func(now Cycle, recovered any)) { k.crashHook = fn }
 
 // crashGuard is the deferred recover behind Run/RunUntil when a crash
@@ -173,15 +141,10 @@ func (k *Kernel) crashGuard() {
 	}
 }
 
-// Run executes n cycles, on the lockstep worker pool when SetShards
-// configured intra-cycle parallelism.
+// Run executes n cycles.
 func (k *Kernel) Run(n int64) {
 	if k.crashHook != nil {
 		defer k.crashGuard()
-	}
-	if k.shards > 1 && n > 0 {
-		k.runParallel(n, nil)
-		return
 	}
 	for i := int64(0); i < n; i++ {
 		k.Step()
@@ -189,14 +152,11 @@ func (k *Kernel) Run(n int64) {
 }
 
 // RunUntil steps the simulation until cond returns true or the cycle budget
-// is exhausted. It reports whether cond became true. cond always runs
-// single-threaded, between cycles.
+// is exhausted. It reports whether cond became true. cond runs between
+// cycles.
 func (k *Kernel) RunUntil(cond func() bool, budget int64) bool {
 	if k.crashHook != nil {
 		defer k.crashGuard()
-	}
-	if k.shards > 1 && budget > 0 {
-		return k.runParallel(budget, cond)
 	}
 	for i := int64(0); i < budget; i++ {
 		if cond() {

@@ -10,11 +10,9 @@
 // the deterministic engine forward.
 //
 // Concurrency and determinism model: like the serve collector, the
-// recorder registers one *serial* kernel phase that runs behind the merge
-// barriers, single-threaded with respect to all simulator state — so the
-// ring contents, keyframes, and detector-triggered dumps are byte-identical
-// at any -shards setting, and the kernel's batching Step path runs the
-// phase on every folded cycle so epoch batching changes nothing either.
+// recorder registers one kernel phase that runs after the network's
+// phases, on the simulation goroutine — so the ring contents, keyframes,
+// and detector-triggered dumps are byte-identical for identical runs.
 // When the recorder is not attached no phase exists and the cycle loop
 // keeps its 0 allocs/op fast path; attached, the steady-state phase writes
 // into preallocated buffers and allocates nothing per cycle (keyframe
@@ -242,9 +240,7 @@ type Recorder struct {
 
 // Attach registers the flight-recorder phase on the network's kernel and
 // returns the recorder. The network must have a telemetry probe (the
-// counter fabric the deltas difference) and must not have run yet. The
-// phase is serial, so it composes with any -shards or -batch-epochs
-// setting without perturbing results.
+// counter fabric the deltas difference) and must not have run yet.
 func Attach(n *network.Network, cfg Config) (*Recorder, error) {
 	if n.Probe() == nil {
 		return nil, fmt.Errorf("flightrec: network has no telemetry probe; enable telemetry to record it")

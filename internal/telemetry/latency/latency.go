@@ -29,10 +29,9 @@
 // drift worth investigating.
 //
 // The decomposition reconciles exactly with the run recorder: both
-// gate on birth ≥ warmup and both observe packets at the deterministic
-// eject-merge barrier, so Σ_flows(count, Σtotal) equals the recorder's
-// PacketLatency (count, sum) byte-for-byte at any shard count and with
-// epoch batching on or off.
+// gate on birth ≥ warmup and both observe each packet at the same point
+// of the eject phase, so Σ_flows(count, Σtotal) equals the recorder's
+// PacketLatency (count, sum) byte-for-byte.
 //
 // On top of the per-flow state sits an SLO engine (slo.go): latency
 // objectives like "p99<=40" evaluated on a fixed cadence with
@@ -365,9 +364,9 @@ func (o *Observatory) flowIndex(ob *network.PacketObservation) int {
 	}
 }
 
-// PacketDelivered folds one delivered packet into its flow. It runs at
-// the deterministic eject-merge barrier in tile order and allocates
-// nothing. The warmup gate mirrors the run recorder's exactly, so the
+// PacketDelivered folds one delivered packet into its flow. It runs in
+// the eject phase, in the deterministic order the phase walks the ports,
+// and allocates nothing. The warmup gate mirrors the run recorder's exactly, so the
 // per-flow sums reconcile with the recorder's latency histogram.
 func (o *Observatory) PacketDelivered(ob *network.PacketObservation) {
 	if ob.Birth < o.warmup {

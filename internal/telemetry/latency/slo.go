@@ -2,8 +2,8 @@
 // alerting. An objective like "p99<=40" grants each flow an error
 // budget of 1% of its packets over 40 cycles; the burn rate is the
 // multiple of that budget the flow is actually consuming. The engine
-// evaluates on a fixed cycle cadence in a serial end-of-cycle phase
-// (deterministic at any shard count), keeps a short and a long window
+// evaluates on a fixed cycle cadence in an end-of-cycle phase
+// (deterministic), keeps a short and a long window
 // of evaluation ticks, and fires only when BOTH exceed the threshold —
 // the short window makes alerts fast, the long window keeps one noisy
 // tick from paging. Firing degrades /healthz through the serve

@@ -15,9 +15,8 @@ import (
 // simulation rows so the observability service watches itself too —
 // goroutine leaks, heap growth, and GC pauses all show up on the same
 // scrape. These values are read from runtime/metrics at request time and
-// never enter a Snapshot: snapshots are deterministic (the shard
-// determinism suite compares their byte streams across configurations)
-// and process vitals are not.
+// never enter a Snapshot: snapshots are deterministic and process
+// vitals are not.
 
 // runtimeSamples are the runtime/metrics series /metrics exports. The
 // slice is package-level documentation of the contract; WriteRuntimeProm

@@ -5,14 +5,14 @@
 // (online detector verdicts from internal/telemetry/health), and /events
 // (SSE stream of health transitions and sampled rows).
 //
-// Concurrency model: the collector registers one *serial* simulation
-// phase (like the clients phase), so under -shards it runs on the
-// barrier side of the worker pool — single-threaded with respect to all
-// simulator state, and byte-identical for any shard count. Each sample it
+// Concurrency model: the collector registers one simulation phase that
+// runs between the network's phases, on the simulation goroutine, so it
+// reads simulator state without locks and its samples are deterministic.
+// Each sample it
 // value-copies every counter it reads into a mutex-guarded set of reused
 // buffers; the immutable Snapshot handed to readers is deep-copied from
 // those buffers lazily — on the first Latest call after the sample, or
-// in-phase when a mirror or SSE subscriber needs every sample — so HTTP
+// in-phase when an SSE subscriber needs every sample — so HTTP
 // handlers never touch simulator state and the steady-state sampling
 // path allocates nothing. When serve is not attached, no phase is
 // registered and the cycle loop keeps its 0 allocs/cycle fast path.
@@ -21,7 +21,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -194,21 +193,18 @@ type Collector struct {
 	// steady-state sampling path allocates nothing while nobody is
 	// watching. rawSeq counts samples; builtSeq marks the sample built
 	// last, so repeat Latest calls between samples share one snapshot.
-	mu        sync.Mutex
-	raw       Snapshot
-	rawSeq    uint64
-	builtSeq  uint64
-	built     *Snapshot
-	subs      map[*Subscriber]struct{}
-	mirror    io.Writer
-	mirrorErr error
+	mu       sync.Mutex
+	raw      Snapshot
+	rawSeq   uint64
+	builtSeq uint64
+	built    *Snapshot
+	subs     map[*Subscriber]struct{}
 }
 
 // AttachCollector registers the snapshot phase on the network's kernel
 // and returns the collector. The network must have a telemetry probe (the
 // counter fabric the snapshots copy) and must not have started running
-// samples yet. The phase is serial, so it composes with any -shards
-// setting without gating the simulation back to one shard.
+// samples yet.
 func AttachCollector(n *network.Network, cfg Config) (*Collector, error) {
 	if n.Probe() == nil {
 		return nil, fmt.Errorf("serve: network has no telemetry probe; enable telemetry to serve it")
@@ -288,18 +284,6 @@ func (s *Snapshot) clone() *Snapshot {
 // between Run calls.
 func (c *Collector) Monitor() *health.Monitor { return c.mon }
 
-// SetMirror directs a copy of every published snapshot, JSON-encoded one
-// per line, to w. The determinism suite compares these byte streams
-// across shard counts. Must be set before the simulation runs.
-func (c *Collector) SetMirror(w io.Writer) { c.mirror = w }
-
-// MirrorErr reports the first error writing to the mirror, if any.
-func (c *Collector) MirrorErr() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.mirrorErr
-}
-
 // subQueue is each subscriber's bounded frame queue depth. A client that
 // cannot drain this many frames is stalled; further frames are dropped
 // and counted rather than ever blocking the publisher (the simulation's
@@ -365,7 +349,7 @@ func (c *Collector) minWaitAge() int64 {
 // sample observes the network (serially, inside the phase), feeds the
 // health monitor, and records the sample into the reused raw buffers.
 // The published immutable Snapshot is only materialised when someone is
-// actually watching (Latest, a mirror, or SSE subscribers), keeping the
+// actually watching (Latest or SSE subscribers), keeping the
 // steady-state sampling path free of per-sample allocation.
 func (c *Collector) sample(now int64) {
 	p := c.n.Probe()
@@ -458,21 +442,11 @@ func (c *Collector) sample(now int64) {
 	// Materialise the immutable copy in-phase only for consumers that
 	// need every sample; HTTP readers build it on demand via Latest.
 	var out *Snapshot
-	if c.mirror != nil || len(c.subs) > 0 {
+	if len(c.subs) > 0 {
 		out = c.latestLocked()
 	}
-	mirror := c.mirror
 	c.mu.Unlock()
 
-	if mirror != nil {
-		if err := json.NewEncoder(mirror).Encode(out); err != nil {
-			c.mu.Lock()
-			if c.mirrorErr == nil {
-				c.mirrorErr = err
-			}
-			c.mu.Unlock()
-		}
-	}
 	if out != nil {
 		c.broadcast(out, events)
 	}

@@ -129,9 +129,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	WriteProm(w, snap) //nolint:errcheck // client went away
 	// Process self-monitoring rows render at request time, never into the
-	// snapshot: snapshots must stay deterministic (the shard-determinism
-	// suite compares their byte streams), and goroutine counts or heap
-	// sizes are anything but.
+	// snapshot: snapshots must stay deterministic, and goroutine counts or
+	// heap sizes are anything but.
 	WriteRuntimeProm(w) //nolint:errcheck // client went away
 	// The shared artifact cache is process state too — scrape-time only.
 	WriteArtifactProm(w) //nolint:errcheck // client went away

@@ -2,11 +2,11 @@ package telemetry
 
 // This file is the copy layer under the live observability service
 // (internal/telemetry/serve): plain-data snapshot structs mirroring the
-// probe's counters, built by value-copying inside the simulator's serial
+// probe's counters, built by value-copying inside the simulator's
 // snapshot phase so HTTP readers never touch live state. Everything here
 // is deterministic — slices ordered by component index, no maps — because
 // the serve layer's determinism contract is that the published snapshot
-// bytes are identical for any shard count.
+// bytes are identical for identical runs.
 
 // RouterSnap is the JSON-ready copy of one RouterProbe.
 type RouterSnap struct {

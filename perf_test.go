@@ -104,11 +104,10 @@ func TestDrainReturnsEveryFlit(t *testing.T) {
 		if !n.Drain(100000) {
 			t.Fatalf("network did not drain (occupancy %d)", n.Occupancy())
 		}
-		pool := n.FlitPool()
-		if got := pool.Outstanding(); got != 0 {
-			t.Fatalf("pool leak: %d of %d flits never recycled", got, pool.Gets())
+		if got := n.FlitsOutstanding(); got != 0 {
+			t.Fatalf("pool leak: %d of %d flits never recycled", got, n.FlitGets())
 		}
-		if pool.Gets() == 0 {
+		if n.FlitGets() == 0 {
 			t.Fatal("pool was never used; leak check is vacuous")
 		}
 	}

@@ -2,7 +2,6 @@ package noc
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -20,12 +19,11 @@ import (
 // The post-mortem suite gates the flight recorder's central promise:
 // any recorded cycle is reconstructable EXACTLY — restore the newest
 // keyframe at or before it, re-execute the deterministic engine forward,
-// and the resulting state is byte-identical to a straight-through run —
-// regardless of the shard count or epoch batching the original run used.
+// and the resulting state is byte-identical to a straight-through run.
 
 // recordedRun executes core.Run with a flight recorder attached and a dump
 // requested near the end of the horizon, returning the parsed dump.
-func recordedRun(t *testing.T, shards, batch int) *flightrec.Dump {
+func recordedRun(t *testing.T) *flightrec.Dump {
 	t.Helper()
 	dir := t.TempDir()
 	p := core.DefaultRunParams()
@@ -35,8 +33,6 @@ func recordedRun(t *testing.T, shards, batch int) *flightrec.Dump {
 	p.MeasureCycles = 2000
 	p.Seed = 9
 	p.Probe = telemetry.New(telemetry.Config{})
-	p.Shards = shards
-	p.BatchEpochs = batch
 
 	hash := core.ConfigHash("run", p, "")
 	spec, err := core.SpecForRun("run", p).JSON()
@@ -133,49 +129,43 @@ func straightThrough(t *testing.T, dp *flightrec.Dump, cycle int64) []byte {
 }
 
 // TestFlightRecReconstructionExact is the acceptance gate: keyframe +
-// delta replay byte-matches the straight-through state at several shard
-// counts, with epoch batching on and off, at a keyframe-aligned cycle, an
-// unaligned one, and one older than every retained keyframe (the
-// rebuild-from-zero fallback).
+// delta replay byte-matches the straight-through state at a
+// keyframe-aligned cycle, an unaligned one, and one older than every
+// retained keyframe (the rebuild-from-zero fallback). Its one case is the
+// sequential cycle loop at the default settings, shards=1,batch=0.
 func TestFlightRecReconstructionExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replay exactness sweep is not -short")
 	}
-	for _, tc := range []struct {
-		shards, batch int
-	}{
-		{1, 0}, {2, 0}, {3, 0}, {2, -1},
-	} {
-		t.Run(fmt.Sprintf("shards=%d,batch=%d", tc.shards, tc.batch), func(t *testing.T) {
-			dp := recordedRun(t, tc.shards, tc.batch)
-			if len(dp.Keyframes) == 0 {
-				t.Fatalf("dump has no keyframes (err %q)", dp.KeyframeErr)
+	t.Run("shards=1,batch=0", func(t *testing.T) {
+		dp := recordedRun(t)
+		if len(dp.Keyframes) == 0 {
+			t.Fatalf("dump has no keyframes (err %q)", dp.KeyframeErr)
+		}
+		targets := []int64{
+			dp.LastCycle() - 7,          // keyframe + partial replay
+			dp.Keyframes[0].Cycle,       // keyframe-aligned: zero replayed cycles
+			dp.Keyframes[0].Cycle - 100, // older than every keyframe: from-zero fallback
+		}
+		for _, c := range targets {
+			if c < 0 {
+				continue
 			}
-			targets := []int64{
-				dp.LastCycle() - 7,          // keyframe + partial replay
-				dp.Keyframes[0].Cycle,       // keyframe-aligned: zero replayed cycles
-				dp.Keyframes[0].Cycle - 100, // older than every keyframe: from-zero fallback
+			got := reconstruct(t, dp, c)
+			want := straightThrough(t, dp, c)
+			if !bytes.Equal(got, want) {
+				t.Errorf("cycle %d: reconstructed state (%d bytes) differs from straight-through (%d bytes)",
+					c, len(got), len(want))
 			}
-			for _, c := range targets {
-				if c < 0 {
-					continue
-				}
-				got := reconstruct(t, dp, c)
-				want := straightThrough(t, dp, c)
-				if !bytes.Equal(got, want) {
-					t.Errorf("cycle %d: reconstructed state (%d bytes) differs from straight-through (%d bytes)",
-						c, len(got), len(want))
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestFlightRecRingMatchesReplay cross-checks the ring against replay the
 // way `nocpost state` does: the instantaneous occupancy the original run
 // recorded at a cycle equals the occupancy of the reconstructed state.
 func TestFlightRecRingMatchesReplay(t *testing.T) {
-	dp := recordedRun(t, 2, 0)
+	dp := recordedRun(t)
 	spec, err := core.ParseSpec(dp.SpecJSON)
 	if err != nil {
 		t.Fatal(err)

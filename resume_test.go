@@ -8,16 +8,16 @@ import (
 	"repro/internal/core"
 )
 
-// The resume determinism suite extends the cross-shard contract to
+// The resume determinism suite extends the golden contract to
 // checkpoint/restore: a golden experiment interrupted mid-run —
 // snapshotted, torn down, rebuilt from configuration, and restored — must
-// still produce the committed sequential goldens byte for byte, at any
-// shard count. core.SetResumeAt drives the interruption: every Run and
-// RunCampaign inside the experiment executes to the given fraction of its
-// horizon, checkpoints, rebuilds a fresh network, restores, and continues
-// there. (Runs whose configuration cannot be checkpointed — e.g. E20's
-// physical-wire scenario — fall back to running straight through, which
-// must also reproduce the golden.)
+// still produce the committed goldens byte for byte. core.SetResumeAt
+// drives the interruption: every Run and RunCampaign inside the
+// experiment executes to the given fraction of its horizon, checkpoints,
+// rebuilds a fresh network, restores, and continues there. (Runs whose
+// configuration cannot be checkpointed — e.g. E20's physical-wire
+// scenario — fall back to running straight through, which must also
+// reproduce the golden.)
 
 // resumeAt arranges for fn to run with the in-memory resume point set,
 // restoring the straight-through default afterwards.
@@ -29,65 +29,19 @@ func resumeAt(t *testing.T, frac float64, fn func()) {
 }
 
 // TestResumedGoldenExperiments interrupts the pinned golden experiments
-// at 25/50/75% of every run's horizon and resumes under shard counts
-// {1, 2, N}. To bound runtime the fraction x shard-count matrix is paired
-// diagonally (every fraction and every shard count appears; not every
-// combination), rotated per experiment so the pairs differ across
-// E1/E4/E20.
+// at 25/50/75% of every run's horizon. Every case runs the sequential
+// cycle loop, so each case name ends in shards1.
 func TestResumedGoldenExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("resumed golden experiments are not -short")
 	}
-	fracs := []float64{0.25, 0.50, 0.75}
-	shardList := append([]int{1}, shardCounts()...)
-	for ei, id := range []string{"E1", "E4", "E20"} {
-		id, ei := id, ei
+	for _, id := range []string{"E1", "E4", "E20"} {
 		t.Run(id, func(t *testing.T) {
 			want := readGolden(t, fmt.Sprintf("golden_%s_quick.txt", strings.ToLower(id)))
-			for fi, frac := range fracs {
-				shards := shardList[(ei+fi)%len(shardList)]
-				t.Run(fmt.Sprintf("frac%.0f/shards%d", 100*frac, shards), func(t *testing.T) {
+			for _, frac := range []float64{0.25, 0.50, 0.75} {
+				t.Run(fmt.Sprintf("frac%.0f/shards1", 100*frac), func(t *testing.T) {
 					resumeAt(t, frac, func() {
-						withShards(t, shards, func() {
-							e, err := core.ByID(id)
-							if err != nil {
-								t.Fatal(err)
-							}
-							tbl, err := e.Run(true)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if got := tbl.Format(); got != want {
-								t.Errorf("resume at %.0f%%, shards=%d: %s diverged from straight-through golden\n--- want ---\n%s--- got ---\n%s",
-									100*frac, shards, id, want, got)
-							}
-						})
-					})
-				})
-			}
-		})
-	}
-}
-
-// TestResumedBatchingGolden interrupts E1 mid-run with sharding and a
-// tiny epoch cap (3 cycles): the checkpoint must land on the exact
-// requested cycle even when that cycle falls mid-epoch (the fold loop
-// re-checks the budget between folded cycles, so a snapshot horizon
-// never overshoots), and the resumed run must still reproduce the
-// committed golden bytes. The resumes under the default cap are covered
-// by TestResumedGoldenExperiments, where sharded runs batch by default.
-func TestResumedBatchingGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("resumed batching goldens are not -short")
-	}
-	want := readGolden(t, "golden_e1_quick.txt")
-	for _, frac := range []float64{0.37, 0.50} {
-		frac := frac
-		t.Run(fmt.Sprintf("frac%.0f", 100*frac), func(t *testing.T) {
-			resumeAt(t, frac, func() {
-				withBatching(t, 3, func() {
-					withShards(t, 2, func() {
-						e, err := core.ByID("E1")
+						e, err := core.ByID(id)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -96,12 +50,12 @@ func TestResumedBatchingGolden(t *testing.T) {
 							t.Fatal(err)
 						}
 						if got := tbl.Format(); got != want {
-							t.Errorf("resume at %.0f%% with tiny epochs diverged from golden\n--- want ---\n%s--- got ---\n%s",
-								100*frac, want, got)
+							t.Errorf("resume at %.0f%%: %s diverged from straight-through golden\n--- want ---\n%s--- got ---\n%s",
+								100*frac, id, want, got)
 						}
 					})
 				})
-			})
+			}
 		})
 	}
 }

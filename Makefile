@@ -62,7 +62,9 @@ race:
 # hold its 0 allocs/op (and 0 B/op) pooled re-init, NetworkBuild4096
 # records the cold-build cost it replaces, and the SweepThroughput pair
 # gates points/sec downward so the warm-fork amortization can't silently
-# rot.
+# rot. The Fork4096 rows fork a busy 4096-tile image taken after 2k and
+# after 20k cycles: restore must cost O(state), so both rows stay at
+# their recorded cost and equal to each other.
 ci:
 	@unformatted=$$(find . -name '*.go' -not -path './.bench_build/*' | xargs gofmt -l); \
 	  if [ -n "$$unformatted" ]; then echo "gofmt needed:" $$unformatted; exit 1; fi
@@ -77,6 +79,7 @@ ci:
 	$(GO) test -race -run 'TestFlightRecSmoke|TestFlightRecReconstructionExact' .
 	{ $(GO) test -run '^$$' -bench 'NetworkCycle$$|NetworkCycleServeOff$$|NetworkCycleServeOn$$|NetworkCycleFlightRecOff$$|NetworkCycleFlightRecOn$$|NetworkCycleLatencyObsOff$$|NetworkCycleLatencyObsOn$$|NetworkCycle64$$|NetworkCycle4096$$|NetworkCycleIdle4096$$|RouteCompute' -benchtime 200ms -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'NetworkBuild4096$$|SweepPointReuse$$' -benchtime 20x -benchmem . ; \
+	  $(GO) test -run '^$$' -bench 'Fork4096$$' -benchtime 3x -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'SweepThroughput' -benchtime 1x . ; } \
 		| $(GO) run ./cmd/benchjson -against BENCH_cycles.json -max-regress 50
 
@@ -101,13 +104,15 @@ fuzz:
 # NetworkBuild4096 (cold 4096-tile build), SweepPointReuse (pooled
 # in-place Reset, must stay 0 allocs/op), and the SweepThroughput
 # warm/cold pair whose points/sec ratio is the warm-fork amortization
-# factor. The final step re-runs the 4096-tile benchmark under the CPU
+# factor, and Fork4096 (a 4096-tile fork after 2k and after 20k cycles,
+# flat when restore is O(state)). The final step re-runs the 4096-tile benchmark under the CPU
 # profiler so every refresh leaves a bench_cycle4096.prof artifact
 # (`go tool pprof bench_cycle4096.prof`) beside the JSON for digging into
 # cycle-loop regressions.
 bench:
 	{ GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'NetworkCycle|RouteCompute|ECCRoundTrip|PacketSegmentation' -benchtime 1s -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'NetworkBuild4096$$|SweepPointReuse$$' -benchtime 50x -benchmem . ; \
+	  $(GO) test -run '^$$' -bench 'Fork4096$$' -benchtime 10x -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'SweepThroughput' -benchtime 1x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkE[0-9]' -benchtime 1x -benchmem . ; } | $(GO) run ./cmd/benchjson -o BENCH_cycles.json
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'NetworkCycle4096$$' -benchtime 200ms -cpuprofile bench_cycle4096.prof .

@@ -1,7 +1,9 @@
 package noc
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -280,6 +282,25 @@ func (l localWindow) Pick(src int, rng *rand.Rand) int {
 }
 
 func build4096(b testing.TB, idle bool) *network.Network {
+	n, gg := new4096(b, idle, 4*cycle4096Rate)
+	// Warm every pool's high-water mark past anything the measured load
+	// can reach: run at 4x the benchmark rate first (more flits in
+	// flight, deeper per-port delivery and reassembly bursts), then
+	// settle at the real rate. Without the overdrive, rare record-setting
+	// events — a new max of in-flight flits, a port's first triple
+	// delivery — keep allocating at a slowly decaying rate for hundreds
+	// of thousands of cycles, and short timing windows catch them.
+	n.Run(2000)
+	for _, g := range gg {
+		g.Rate = cycle4096Rate
+	}
+	n.Run(2000)
+	return n
+}
+
+// new4096 builds the 64x64 torus of the 4096-tile benchmarks with its
+// generators attached at rate, before any cycle has run.
+func new4096(b testing.TB, idle bool, rate float64) (*network.Network, []*traffic.Generator) {
 	topo, err := topology.NewFoldedTorus(64, 64)
 	if err != nil {
 		b.Fatal(err)
@@ -299,22 +320,46 @@ func build4096(b testing.TB, idle bool) *network.Network {
 	}
 	gg := make([]*traffic.Generator, gens)
 	for tile := 0; tile < gens; tile++ {
-		gg[tile] = traffic.NewGenerator(tile, pat, 4*cycle4096Rate, 2, flit.VCMask(0xFF), 1)
+		gg[tile] = traffic.NewGenerator(tile, pat, rate, 2, flit.VCMask(0xFF), 1)
 		n.AttachClient(tile, gg[tile])
 	}
-	// Warm every pool's high-water mark past anything the measured load
-	// can reach: run at 4x the benchmark rate first (more flits in
-	// flight, deeper per-port delivery and reassembly bursts), then
-	// settle at the real rate. Without the overdrive, rare record-setting
-	// events — a new max of in-flight flits, a port's first triple
-	// delivery — keep allocating at a slowly decaying rate for hundreds
-	// of thousands of cycles, and short timing windows catch them.
-	n.Run(2000)
-	for _, g := range gg {
-		g.Rate = cycle4096Rate
+	return n, gg
+}
+
+// BenchmarkFork4096 times Network.Fork of a busy 4096-tile image into a
+// freshly built network, for images taken after 2k and after 20k cycles
+// at the benchmark load. Every random stream restores from its saved
+// 16-byte state, so a fork costs O(state), not O(cycles already run):
+// the two rows must stay equal, and the benchjson gate holds each to its
+// recorded cost. Building the fork target and a GC are outside the
+// timer.
+func BenchmarkFork4096(b *testing.B) {
+	imgs := map[int64][]byte{}
+	for _, warm := range []int64{2000, 20000} {
+		b.Run(fmt.Sprintf("warm=%dk", warm/1000), func(b *testing.B) {
+			img := imgs[warm]
+			if img == nil {
+				n, _ := new4096(b, false, cycle4096Rate)
+				n.Run(warm)
+				var err error
+				if img, err = n.Snapshot(0); err != nil {
+					b.Fatal(err)
+				}
+				imgs[warm] = img
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				f, _ := new4096(b, false, cycle4096Rate)
+				runtime.GC()
+				b.StartTimer()
+				if err := f.Fork(img, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	n.Run(2000)
-	return n
 }
 
 // cycle4096Rate is the offered load of the 4096-tile benchmarks: light

@@ -135,7 +135,8 @@ func cmdState(args []string) error {
 	fmt.Printf("  generated pkts    %d\n", rec.Generated)
 	fmt.Printf("  delivered pkts    %d\n", rec.DeliveredPackets)
 	fmt.Printf("  ejected flits     %d\n", p.TotalEjectedFlits())
-	fmt.Printf("  rng draws         %d\n", n.Kernel().RNGDraws())
+	hi, lo := n.Kernel().Source().State()
+	fmt.Printf("  rng state         %016x%016x\n", hi, lo)
 
 	// Exactness cross-check against the ring: the record at this cycle was
 	// written by the original run at the same instant.

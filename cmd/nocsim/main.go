@@ -23,6 +23,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/flit"
 	"repro/internal/network"
+	"repro/internal/route"
 	"repro/internal/router"
 	"repro/internal/telemetry/flightrec"
 	"repro/internal/telemetry/serve"
@@ -297,6 +298,9 @@ func main() {
 		100*res.LinkUtilMean, 100*res.LinkUtilMax)
 	if res.DroppedPackets > 0 {
 		fmt.Printf("dropped packets   %d\n", res.DroppedPackets)
+	}
+	if res.RejectedPackets > 0 {
+		fmt.Printf("rejected packets  %d (refused at injection, e.g. routes over %d steps)\n", res.RejectedPackets, route.MaxSteps)
 	}
 	if res.EnergyPerFlit > 0 {
 		fmt.Printf("energy            %.3g J/flit (hop %.3g J + wire %.3g J total)\n",

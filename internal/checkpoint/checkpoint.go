@@ -39,8 +39,11 @@ import (
 // versioned with the container. Version 2 added the per-flit hop count
 // (flow observatory) to the flit wire layout. Version 3 saves only the
 // unsent flits of a port's in-progress injection; the sent ones are
-// saved once, by the router or link holding them.
-const Version = 3
+// saved once, by the router or link holding them. Version 4 saves every
+// random stream as its 16-byte PCG state instead of a draw count to
+// replay, and a traffic generator's pending start cycle and rejection
+// count with it.
+const Version = 4
 
 // magic identifies a checkpoint file. The trailing byte doubles as a
 // format epoch so even the magic check catches a layout change.
@@ -308,7 +311,14 @@ func (b *Builder) Bytes() []byte {
 	hdr.I64(b.cycle)
 	hdr.U32(uint32(len(b.names)))
 
-	out := append([]byte(nil), magic...)
+	// Size the container once: a multi-megabyte image grown by append
+	// would be copied several times over.
+	size := len(magic) + 4 + 4 + len(hdr.buf) + 4 + 4
+	for i, name := range b.names {
+		size += 2 + len(name) + 4 + len(b.encs[i].buf) + 4
+	}
+	out := make([]byte, 0, size)
+	out = append(out, magic...)
 	out = binary.LittleEndian.AppendUint32(out, Version)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(hdr.buf)))
 	out = append(out, hdr.buf...)

@@ -131,15 +131,18 @@ func TestCorruptionDetected(t *testing.T) {
 }
 
 // TestRejectsOldVersion requires an otherwise intact image written under
-// an earlier format version to be refused: its section layouts differ.
+// any earlier format version to be refused: its section layouts differ
+// (version 3 saved random streams as draw counts to replay).
 func TestRejectsOldVersion(t *testing.T) {
-	data := buildSample(t)
-	body := data[:len(data)-4]
-	binary.LittleEndian.PutUint32(body[len(magic):], Version-1)
-	data = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
-	_, err := Parse(data)
-	if err == nil || !strings.Contains(err.Error(), "unsupported version") {
-		t.Fatalf("Parse of a version-%d image: err = %v, want unsupported version", Version-1, err)
+	for v := uint32(1); v < Version; v++ {
+		data := buildSample(t)
+		body := data[:len(data)-4]
+		binary.LittleEndian.PutUint32(body[len(magic):], v)
+		data = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+		_, err := Parse(data)
+		if err == nil || !strings.Contains(err.Error(), "unsupported version") {
+			t.Fatalf("Parse of a version-%d image: err = %v, want unsupported version", v, err)
+		}
 	}
 }
 

@@ -266,3 +266,30 @@ func TestDeprecatedShardsValidated(t *testing.T) {
 	}()
 	SetShards(2)
 }
+
+// TestRunCountsRejectedPackets pins that a refused Send is counted, not
+// dropped silently: on a 64×64 torus uniform traffic needs routes longer
+// than the 32 steps a source route holds, so a share of the offered
+// packets is refused at injection, while on a 16×16 torus every route
+// fits.
+func TestRunCountsRejectedPackets(t *testing.T) {
+	for _, c := range []struct {
+		k      int
+		reject bool
+	}{{64, true}, {16, false}} {
+		p := DefaultRunParams()
+		p.K = c.k
+		p.Rate = 0.01
+		p.WarmupCycles, p.MeasureCycles = 100, 200
+		res, err := Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.RejectedPackets > 0; got != c.reject {
+			t.Errorf("k=%d: %d rejected packets, want rejections %v", c.k, res.RejectedPackets, c.reject)
+		}
+		if c.reject && res.AcceptedFlits > 0.9*p.Rate {
+			t.Errorf("k=%d: accepted %.4f of %.4f offered despite %d rejections", c.k, res.AcceptedFlits, p.Rate, res.RejectedPackets)
+		}
+	}
+}

@@ -139,15 +139,15 @@ func (l *campaignLedger) RestoreState(d *checkpoint.Decoder) {
 }
 
 // chaosClient is a per-tile Bernoulli source feeding the shared campaign
-// ledger. Its RNG rides on a counted source so a checkpoint records the
-// stream position and restore replays it exactly.
+// ledger. A checkpoint records its random stream's state, so a restore
+// continues the stream exactly.
 type chaosClient struct {
 	tile   int
 	tiles  int
 	cycles int64
 	rate   float64
 	mask   flit.VCMask
-	src    *sim.CountedSource
+	src    *sim.Source
 	rng    *rand.Rand
 	led    *campaignLedger
 }
@@ -172,9 +172,9 @@ func (c *chaosClient) Tick(now int64, port *network.Port) {
 	c.led.born = append(c.led.born, bornRec{id: id, at: now})
 }
 
-func (c *chaosClient) SaveState(e *checkpoint.Encoder) { e.U64(c.src.Draws()) }
+func (c *chaosClient) SaveState(e *checkpoint.Encoder) { c.src.SaveState(e) }
 
-func (c *chaosClient) RestoreState(d *checkpoint.Decoder) { c.src.Restore(d.U64()) }
+func (c *chaosClient) RestoreState(d *checkpoint.Decoder) { c.src.RestoreState(d) }
 
 // RunCampaign executes one seeded fault campaign: Bernoulli sources on
 // every tile, faults injected per the spec and the stochastic model,
@@ -219,7 +219,7 @@ func RunCampaign(p CampaignParams) (CampaignResult, error) {
 			mask = flit.VCMask((1 << p.Run.NumVCs) - 1)
 		}
 		for tile := 0; tile < tiles; tile++ {
-			src := sim.NewCountedSource(p.Run.Seed + int64(tile))
+			src := sim.NewSource(p.Run.Seed + int64(tile))
 			n.AttachClient(tile, &chaosClient{
 				tile: tile, tiles: tiles, cycles: p.Cycles, rate: p.Run.Rate,
 				mask: mask, src: src, rng: rand.New(src), led: ledger,

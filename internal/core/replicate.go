@@ -126,7 +126,7 @@ func (pt ReplicatedPoint) Mean() RunResult {
 	}
 	k := float64(len(pt.Replicas))
 	var acc, lat, net, um, ux float64
-	var p50, p99, max, dropped, delivered int64
+	var p50, p99, max, dropped, rejected, delivered int64
 	for _, r := range pt.Replicas {
 		acc += r.AcceptedFlits
 		lat += r.AvgLatency
@@ -141,6 +141,7 @@ func (pt ReplicatedPoint) Mean() RunResult {
 			max = r.MaxLatency
 		}
 		dropped += r.DroppedPackets
+		rejected += r.RejectedPackets
 		delivered += r.DeliveredPackets
 	}
 	m.AcceptedFlits = acc / k
@@ -152,6 +153,7 @@ func (pt ReplicatedPoint) Mean() RunResult {
 	m.P99Latency = p99 / int64(len(pt.Replicas))
 	m.MaxLatency = max
 	m.DroppedPackets = dropped
+	m.RejectedPackets = rejected
 	m.DeliveredPackets = delivered
 	return m
 }

@@ -172,6 +172,11 @@ type RunResult struct {
 
 	DroppedPackets int64
 	Deflections    int64
+	// RejectedPackets counts packets the generators offered that the
+	// network refused at the port (traffic.Generator.RejectedPackets), over
+	// the whole run: offered load that never entered the network, so it
+	// is missing from AcceptedFlits.
+	RejectedPackets int64
 
 	HopEnergyJ    float64
 	WireEnergyJ   float64
@@ -344,6 +349,9 @@ func collectResult(n *network.Network, meter *power.Meter, p RunParams, topo top
 	for tile := 0; tile < topo.NumTiles(); tile++ {
 		if r := n.Router(tile); r != nil {
 			res.DroppedPackets += r.Stats.DroppedPackets
+		}
+		if g, ok := n.Client(tile).(*traffic.Generator); ok {
+			res.RejectedPackets += g.RejectedPackets
 		}
 	}
 	if meter != nil {

@@ -107,7 +107,7 @@ func (n *Network) SaveCheckpoint(configHash uint64, cycle int64) ([]byte, error)
 	b := checkpoint.NewBuilder(configHash, cycle)
 
 	e := b.Section("clock")
-	e.U64(n.kernel.RNGDraws())
+	n.kernel.Source().SaveState(e)
 
 	e = b.Section("net")
 	e.U64(n.nextID)
@@ -319,17 +319,14 @@ func (n *Network) RestoreCheckpoint(f *checkpoint.File) error {
 			return err
 		}
 	}
-	var draws uint64
-	if err := restoreSection(f, "clock", func(d *checkpoint.Decoder) {
-		draws = d.U64()
-	}); err != nil {
+	// Reposition the clock and the random stream last: every
+	// construction-time RNG draw (links, injector expansion) has already
+	// happened on this network, and the saved stream state overwrites
+	// the position they left.
+	if err := restoreSection(f, "clock", n.kernel.Source().RestoreState); err != nil {
 		return err
 	}
-	// Reposition the clock last: every construction-time RNG draw (links,
-	// injector expansion) has already happened on this network, and
-	// Restore replays the stream forward from the seed to the recorded
-	// position, which subsumes them.
-	n.kernel.RestoreClock(f.Cycle, draws)
+	n.kernel.RestoreClock(f.Cycle)
 	// Rebuild the derived worklists from restored occupancy.
 	for _, r := range n.routers {
 		if r.Occupancy() > 0 {

@@ -577,6 +577,9 @@ func (n *Network) AttachClient(tile int, c Client) {
 	}
 }
 
+// Client returns the client attached at tile, or nil.
+func (n *Network) Client(tile int) Client { return n.clients[tile] }
+
 // Port returns the tile's network port.
 func (n *Network) Port(tile int) *Port { return n.ports[tile] }
 

@@ -32,7 +32,7 @@ type Kernel struct {
 	now    Cycle
 	phases []phase
 	rng    *rand.Rand
-	src    *CountedSource
+	src    *Source
 	seed   int64
 
 	// crashHook, when set, observes a panic unwinding Run/RunUntil before
@@ -47,10 +47,10 @@ type Kernel struct {
 }
 
 // NewKernel returns a kernel whose random source is seeded with seed.
-// The source is a CountedSource so the stream position can be
-// checkpointed and restored exactly.
+// The source's position is its 16-byte state (Source), so a checkpoint
+// saves and restores it exactly.
 func NewKernel(seed int64) *Kernel {
-	src := NewCountedSource(seed)
+	src := NewSource(seed)
 	return &Kernel{rng: rand.New(src), src: src, seed: seed}
 }
 
@@ -65,17 +65,13 @@ func (k *Kernel) RNG() *rand.Rand { return k.rng }
 // executed; between Step calls it is the number of completed cycles.
 func (k *Kernel) Now() Cycle { return k.now }
 
-// RNGDraws reports how many values have been drawn from the kernel's
-// random source, for checkpointing.
-func (k *Kernel) RNGDraws() uint64 { return k.src.Draws() }
+// Source exposes the stream behind RNG, whose SaveState/RestoreState
+// checkpoint its position.
+func (k *Kernel) Source() *Source { return k.src }
 
-// RestoreClock repositions the kernel at cycle now with its random source
-// exactly draws values past the seed, the restore counterpart of
-// (Now, RNGDraws). It must only be called between cycles.
-func (k *Kernel) RestoreClock(now Cycle, draws uint64) {
-	k.now = now
-	k.src.Restore(draws)
-}
+// RestoreClock repositions the kernel at cycle now, the restore
+// counterpart of Now. It must only be called between cycles.
+func (k *Kernel) RestoreClock(now Cycle) { k.now = now }
 
 // AddPhase appends a named phase to the per-cycle schedule. Phases run in
 // the order they were added. Adding a phase after the simulation has started
@@ -95,9 +91,9 @@ func (k *Kernel) AddPhase(name string, fn PhaseFunc) {
 func (k *Kernel) MarkPhases() { k.phaseMark = len(k.phases) }
 
 // Reset rewinds the kernel for a fresh run on the same schedule: the
-// clock returns to cycle 0, the random source is reseeded (draw count
-// zero), phases appended after MarkPhases are dropped, and any crash
-// hook is detached. Must be called between cycles.
+// clock returns to cycle 0, the random source is reseeded, phases
+// appended after MarkPhases are dropped, and any crash hook is detached.
+// Must be called between cycles.
 func (k *Kernel) Reset(seed int64) {
 	if k.phaseMark > 0 && len(k.phases) > k.phaseMark {
 		for i := k.phaseMark; i < len(k.phases); i++ {

@@ -1,59 +1,77 @@
 package sim
 
-import "math/rand"
+import (
+	"encoding/binary"
+	"math/rand"
+	randv2 "math/rand/v2"
 
-// CountedSource is a rand.Source64 that wraps the standard library's
-// seeded source and counts how many values have been drawn. The standard
-// source's internal state is unexported, but every Int63/Uint64 call
-// advances it by exactly one step — so (seed, draws) is a complete,
-// portable serialisation of the stream position: restore recreates the
-// source and replays draws steps. Delegating both methods unchanged keeps
-// the value sequence bit-identical to a bare rand.NewSource, which is
-// what preserves the repository's golden outputs.
-type CountedSource struct {
-	src   rand.Source64
-	seed  int64
-	draws uint64
+	"repro/internal/checkpoint"
+)
+
+// Source is the simulator's random stream: a rand.Source64 over the
+// standard library's 128-bit PCG (math/rand/v2). Its whole position is
+// the generator's 16-byte state, so a checkpoint saves and restores that
+// state directly: restoring costs the same at cycle 10⁹ as at cycle 0,
+// and nothing is replayed. Wrap it with rand.New to get the v1
+// *rand.Rand the traffic patterns draw from.
+type Source struct {
+	pcg randv2.PCG
 }
 
-// NewCountedSource returns a counted source seeded with seed.
-func NewCountedSource(seed int64) *CountedSource {
-	return &CountedSource{src: rand.NewSource(seed).(rand.Source64), seed: seed}
+// NewSource returns a source seeded with seed.
+func NewSource(seed int64) *Source {
+	s := &Source{}
+	s.Seed(seed)
+	return s
+}
+
+// Seed implements rand.Source. The two PCG state words are derived from
+// seed by SplitMix64, so nearby seeds (a run seed xor a tile index) start
+// at unrelated points of the stream.
+func (s *Source) Seed(seed int64) {
+	x := uint64(seed)
+	hi := splitMix64(&x)
+	s.pcg.Seed(hi, splitMix64(&x))
 }
 
 // Int63 implements rand.Source.
-func (s *CountedSource) Int63() int64 {
-	s.draws++
-	return s.src.Int63()
-}
+func (s *Source) Int63() int64 { return int64(s.pcg.Uint64() >> 1) }
 
 // Uint64 implements rand.Source64.
-func (s *CountedSource) Uint64() uint64 {
-	s.draws++
-	return s.src.Uint64()
+func (s *Source) Uint64() uint64 { return s.pcg.Uint64() }
+
+// State reports the PCG's two state words: the whole stream position.
+func (s *Source) State() (hi, lo uint64) {
+	b, _ := s.pcg.MarshalBinary() // "pcg:" + hi + lo, big-endian
+	return binary.BigEndian.Uint64(b[4:]), binary.BigEndian.Uint64(b[12:])
 }
 
-// Seed implements rand.Source, resetting the draw count.
-func (s *CountedSource) Seed(seed int64) {
-	s.seed = seed
-	s.draws = 0
-	s.src.Seed(seed)
+// SaveState writes the stream position: 16 bytes, whatever the position.
+func (s *Source) SaveState(e *checkpoint.Encoder) {
+	hi, lo := s.State()
+	e.U64(hi)
+	e.U64(lo)
 }
 
-// SeedValue reports the seed the stream was created (or last re-seeded)
-// with.
-func (s *CountedSource) SeedValue() int64 { return s.seed }
-
-// Draws reports how many values have been drawn since seeding.
-func (s *CountedSource) Draws() uint64 { return s.draws }
-
-// Restore repositions the stream at exactly draws values past its seed by
-// reseeding and burning draws steps. Both Int63 and Uint64 advance the
-// underlying generator identically, so the burn mix does not matter.
-func (s *CountedSource) Restore(draws uint64) {
-	s.src.Seed(s.seed)
-	for i := uint64(0); i < draws; i++ {
-		s.src.Uint64()
+// RestoreState repositions the stream at a position saved with
+// SaveState, whatever the source was seeded with.
+func (s *Source) RestoreState(d *checkpoint.Decoder) {
+	var b [20]byte
+	copy(b[:], "pcg:")
+	binary.BigEndian.PutUint64(b[4:], d.U64())
+	binary.BigEndian.PutUint64(b[12:], d.U64())
+	if err := s.pcg.UnmarshalBinary(b[:]); err != nil {
+		d.Fail("rng state: %v", err)
 	}
-	s.draws = draws
 }
+
+// splitMix64 advances *x and returns the next SplitMix64 output.
+func splitMix64(x *uint64) uint64 {
+	*x += 0x9E3779B97F4A7C15
+	z := *x
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return z ^ z>>31
+}
+
+var _ rand.Source64 = (*Source)(nil)

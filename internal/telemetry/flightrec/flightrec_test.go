@@ -409,6 +409,11 @@ func TestAutoDumpOnStarvation(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Run(200)
+	// Stall at the first cycle from 200 on that router 5 holds a flit, so
+	// the scenario does not hinge on one seed's traffic at one cycle.
+	for i := 0; i < 200 && n.Router(5).Occupancy() == 0; i++ {
+		n.Run(1)
+	}
 	if n.Router(5).Occupancy() == 0 {
 		t.Fatal("router 5 empty at stall time; scenario is vacuous")
 	}

@@ -1,21 +1,32 @@
 package traffic
 
-import "repro/internal/checkpoint"
+import (
+	"math"
 
-// SaveState serialises the generator's dynamic state: the random stream
-// position and the packet count. Configuration (pattern, rate, mask) is
-// not saved — the restored generator must be built with the same
-// parameters and seed, so replaying the recorded number of draws lands
-// the stream on the identical next value.
+	"repro/internal/checkpoint"
+)
+
+// SaveState serialises the generator's dynamic state, 48 bytes whatever
+// the cycle: the random stream state, the pending start and the
+// probability it was drawn with, and the packet counts. Configuration
+// (pattern, rate, mask) is not saved — the restored generator must be
+// built with the same parameters.
 func (g *Generator) SaveState(e *checkpoint.Encoder) {
-	e.U64(g.src.Draws())
+	g.src.SaveState(e)
+	e.I64(g.next)
+	e.F64(g.gapP)
 	e.I64(g.GeneratedPackets)
+	e.I64(g.RejectedPackets)
 }
 
 // RestoreState restores a generator saved with SaveState.
 func (g *Generator) RestoreState(d *checkpoint.Decoder) {
-	g.src.Restore(d.U64())
+	g.src.RestoreState(d)
+	g.next = d.I64()
+	g.gapP = d.F64()
+	g.lnQ = math.Log1p(-g.gapP)
 	g.GeneratedPackets = d.I64()
+	g.RejectedPackets = d.I64()
 }
 
 // SaveState serialises the stream source's dynamic state. The emission

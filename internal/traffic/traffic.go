@@ -13,6 +13,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/flit"
@@ -158,9 +159,17 @@ func ByName(name string, kx, ky int) (Pattern, error) {
 }
 
 // Generator is an open-loop Bernoulli packet source: each cycle it starts a
-// new packet with probability Rate/FlitsPerPacket, so the offered load is
-// Rate flits per cycle per node. Packets queue at the port if the network
-// is congested (the queue is part of measured latency).
+// new packet with probability p = Rate/FlitsPerPacket, so the offered load
+// is Rate flits per cycle per node. Packets queue at the port if the
+// network is congested (the queue is part of measured latency).
+//
+// A Bernoulli process has i.i.d. Geometric(p) gaps between starts, so
+// instead of one draw per cycle the generator draws the gap to its next
+// start once per packet, by inversion from one uniform draw. The pending
+// start is redrawn from the current cycle whenever Rate or
+// FlitsPerPacket has changed since it was drawn, and when a pause in
+// ticking (StopAt, a detach) skipped past it: the process is memoryless,
+// so both redraws are exact.
 type Generator struct {
 	Tile           int
 	Pattern        Pattern
@@ -170,7 +179,15 @@ type Generator struct {
 	Class          int
 	StopAt         int64 // stop generating at this cycle (0 = never)
 	rng            *rand.Rand
-	src            *sim.CountedSource // rng's source, for checkpointing
+	src            *sim.Source // rng's source, for checkpointing
+
+	// next is the cycle of the next packet start. gapP is the per-cycle
+	// start probability it was drawn with (NaN before the first draw, so
+	// every rate differs from it); lnQ caches log1p(-gapP) for the
+	// inversion.
+	next int64
+	gapP float64
+	lnQ  float64
 
 	// payloadBuf is the reusable injection payload: Port.Send copies the
 	// bytes into the packet's flits, so one scratch buffer serves every
@@ -178,6 +195,10 @@ type Generator struct {
 	payloadBuf []byte
 
 	GeneratedPackets int64
+	// RejectedPackets counts packets Port.Send refused (a destination no
+	// source route reaches, or a packet the flow control cannot carry):
+	// offered load that never entered the network.
+	RejectedPackets int64
 }
 
 // NewGenerator returns a generator with its own deterministic random
@@ -186,20 +207,22 @@ func NewGenerator(tile int, p Pattern, rate float64, flitsPerPacket int, mask fl
 	if flitsPerPacket < 1 {
 		flitsPerPacket = 1
 	}
-	src := sim.NewCountedSource(seed ^ int64(tile)*0x9E3779B9)
+	src := sim.NewSource(seed ^ int64(tile)*0x9E3779B9)
 	return &Generator{
 		Tile: tile, Pattern: p, Rate: rate, FlitsPerPacket: flitsPerPacket,
-		Mask: mask, rng: rand.New(src), src: src,
+		Mask: mask, rng: rand.New(src), src: src, gapP: math.NaN(),
 	}
 }
 
 // Reseed rewinds the generator onto a fresh deterministic stream derived
 // from seed and the tile — the same derivation NewGenerator uses — and
-// zeroes the packet count. Warm-forked replicas call it after restoring
-// a shared warmup snapshot, so each replica's measurement traffic is an
-// independent drawing while the network state at the fork is identical.
+// zeroes the packet count; the next Tick draws its first gap from the new
+// stream. Warm-forked replicas call it after restoring a shared warmup
+// snapshot, so each replica's measurement traffic is an independent
+// drawing while the network state at the fork is identical.
 func (g *Generator) Reseed(seed int64) {
 	g.src.Seed(seed ^ int64(g.Tile)*0x9E3779B9)
+	g.gapP = math.NaN()
 	g.GeneratedPackets = 0
 }
 
@@ -209,10 +232,13 @@ func (g *Generator) Tick(now int64, p *network.Port) {
 	if g.StopAt > 0 && now >= g.StopAt {
 		return
 	}
-	prob := g.Rate / float64(g.FlitsPerPacket)
-	if g.rng.Float64() >= prob {
+	if prob := g.Rate / float64(g.FlitsPerPacket); prob != g.gapP || now > g.next {
+		g.drawGap(now, prob)
+	}
+	if now < g.next {
 		return
 	}
+	g.drawGap(now+1, g.gapP)
 	dst := g.Pattern.Pick(g.Tile, g.rng)
 	if dst == g.Tile {
 		return
@@ -221,8 +247,32 @@ func (g *Generator) Tick(now int64, p *network.Port) {
 		g.payloadBuf = make([]byte, n)
 	}
 	payload := g.payloadBuf[:g.payloadBytes()]
-	if _, err := p.Send(dst, payload, g.Mask, g.Class); err == nil {
-		g.GeneratedPackets++
+	if _, err := p.Send(dst, payload, g.Mask, g.Class); err != nil {
+		g.RejectedPackets++
+		return
+	}
+	g.GeneratedPackets++
+}
+
+// drawGap sets next to the first start at or after cycle from of a
+// Bernoulli(prob) process: from plus a Geometric(prob) count of empty
+// cycles, floor(log(1-U) / log(1-prob)) for one uniform U.
+func (g *Generator) drawGap(from int64, prob float64) {
+	if prob != g.gapP {
+		g.gapP, g.lnQ = prob, math.Log1p(-prob)
+	}
+	switch {
+	case prob >= 1:
+		g.next = from
+	case !(prob > 0):
+		g.next = math.MaxInt64
+	default:
+		gap := math.Log1p(-g.rng.Float64()) / g.lnQ
+		if gap >= float64(math.MaxInt64-from) {
+			g.next = math.MaxInt64
+		} else {
+			g.next = from + int64(gap)
+		}
 	}
 }
 
